@@ -18,7 +18,7 @@ import numpy as np
 from . import experiments, matrixgen, measures, pseudospec
 from .errors import ConfigError, ToepspecError
 from .matrixgen import NoiseSpec, PerturbationSpec
-from .svgplot import render_svg  # re-exported: the plotting entry point
+from .svgplot import render_svg, write_scatter  # render_svg: the re-exported plotting entry point
 from .symbol import curve_samples, parse_symbol
 
 __all__ = ["main", "render_svg"]
@@ -46,7 +46,7 @@ def _build_parser() -> _Parser:
     ps = sub.add_parser("pseudospectrum", help="s_min field over a grid, with contours")
     ps.add_argument("--symbol", required=True)
     ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--matrix", default="toeplitz", choices=["toeplitz", "circulant", "perturbed"])
+    ps.add_argument("--matrix", default="toeplitz", choices=matrixgen.MATRIX_KINDS)
     ps.add_argument("--pert", default="none")
     ps.add_argument("--noise", default="complex_gaussian", choices=matrixgen.NOISE_KINDS)
     ps.add_argument("--seed", type=int, default=0)
@@ -87,12 +87,7 @@ def _cmd_spectrum(args) -> int:
         measures.write_sample_csv(sample, args.out)
         print(f"wrote {args.out}")
     if args.plot:
-        svg = render_svg(
-            "scatter",
-            {"points": eigs, "curve": curve_samples(sym, 720)},
-            {"title": f"spectrum n={args.n} pert={args.pert}"},
-        )
-        Path(args.plot).write_text(svg, encoding="utf-8")
+        write_scatter(args.plot, eigs, curve_samples(sym, 720), f"spectrum n={args.n} pert={args.pert}")
         print(f"wrote {args.plot}")
     if not args.out and not args.plot:
         for lam in eigs:
@@ -101,15 +96,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_pseudospectrum(args) -> int:
-    sym = parse_symbol(args.symbol)
-    if args.matrix == "circulant":
-        m = matrixgen.circulant(sym, args.n)
-    elif args.matrix == "perturbed":
-        m = matrixgen.perturbed(
-            sym, args.n, PerturbationSpec.parse(args.pert), NoiseSpec(args.noise), args.seed
-        )
-    else:
-        m = matrixgen.toeplitz(sym, args.n)
+    pert = PerturbationSpec.parse(args.pert)
+    m = matrixgen.build_matrix(
+        args.matrix, parse_symbol(args.symbol), args.n, pert, NoiseSpec(args.noise), args.seed
+    )
     grid = pseudospec.GridSpec(
         re_min=args.re_min,
         re_max=args.re_max,
@@ -124,11 +114,7 @@ def _cmd_pseudospectrum(args) -> int:
         pseudospec.write_field_csv(field, args.out)
         print(f"wrote {args.out}")
     if args.plot:
-        lines = []
-        for level, polys in zip(levels, pseudospec.contour_lines(field, levels)):
-            lines.extend((level, poly) for poly in polys)
-        svg = render_svg("contour", {"lines": lines}, {"title": "pseudospectral level lines"})
-        Path(args.plot).write_text(svg, encoding="utf-8")
+        pseudospec.write_contour_svg(field, levels, args.plot, "pseudospectral level lines")
         print(f"wrote {args.plot}")
     if not args.out and not args.plot:
         print(f"s_min range: [{float(field.values.min())!r}, {float(field.values.max())!r}]")
@@ -136,13 +122,10 @@ def _cmd_pseudospectrum(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     config = experiments.ExperimentConfig.from_dict(raw)
     report = experiments.run(config, out_dir=args.out_dir)
     print(json.dumps(report.passed, sort_keys=True))

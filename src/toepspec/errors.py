@@ -67,3 +67,7 @@ class ConfigError(ToepspecError):
 
 class EmptyDataError(ToepspecError):
     """No data was supplied where at least one element is required."""
+
+
+class NonFiniteError(ToepspecError):
+    """A computed result overflowed to inf or became NaN."""

@@ -1,7 +1,10 @@
 """Registry of named, seeded Monte-Carlo scenarios with machine-checkable reports.
 
-Each scenario draws its trial matrices through :func:`matrixgen.task_seed`, so
-reports are byte-identical for identical configs whatever the worker count.
+Every scenario reads its trials from one :class:`TrialEnsemble`: trial t's
+noise is drawn from :func:`matrixgen.task_seed` (seed, t), so reports are
+byte-identical for identical configs.  :func:`run` parses and checks the
+config, writes the artifacts, and leaves each scenario runner a reduction
+over the trials plus a pass rule.
 
 Eigenvector direction convention.  For an eigenvalue lambda with winding
 number d(lambda) of the symbol curve, the localized mass sits at the FRONT
@@ -20,13 +23,50 @@ from pathlib import Path
 
 import numpy as np
 
-from . import eigloc, linalg, matrixgen, measures, pseudospec, svgplot
-from ._parallel import map_into_slots
-from .errors import BoundaryError, ConfigError, OnCurveError, ToepspecError
-from .matrixgen import NoiseSpec, PerturbationSpec, task_seed
-from .symbol import LaurentSymbol, classify_region, curve_samples, parse_symbol, winding_number
+from . import eigloc, grushin, linalg, matrixgen, measures, pseudospec, svgplot
+from .errors import BoundaryError, ConfigError, NonFiniteError, OnCurveError, ToepspecError
+from .matrixgen import NoiseSpec, PerturbationSpec, is_real, task_seed
+from .symbol import (
+    LaurentSymbol,
+    classify_region,
+    curve_samples,
+    parse_symbol,
+    winding_number,
+)
 
 _PROBE_STREAM = 0x70726F62  # distinct seed stream for probe-point placement
+
+
+_TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _typed(name: str, value, default):
+    """value checked against the type of its default: the schema of configs and params.
+
+    Integers are taken only when exact (20.0 reads as 20, 20.7 is refused),
+    and must be positive where the default is; floats are any finite number.
+    A None default stands for an optional float, a list default for a list
+    of its element type, and a dict default fixes the keys of a nested object.
+    """
+    if isinstance(default, dict):
+        if not isinstance(value, dict) or set(value) != set(default):
+            raise ConfigError(f"{name} must be an object with the fields {sorted(default)}")
+        return {k: _typed(f"{name}.{k}", value[k], default[k]) for k in default}
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list")
+        return [_typed(f"{name}[{i}]", v, default[0]) for i, v in enumerate(value)]
+    if type(default) is int and type(value) is float and value.is_integer():
+        value = int(value)
+    if default is None or type(default) is float:
+        ok, want = is_real(value) or value is default, "a finite number"
+    elif type(default) is int and default > 0:  # a count
+        ok, want = type(value) is int and value > 0, "a positive integer"
+    else:
+        ok, want = type(value) is type(default), _TYPE_NAMES[type(default)]
+    if not ok:
+        raise ConfigError(f"{name} must be {want}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -41,10 +81,8 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n must be positive")
-        if self.trials < 1:
-            raise ConfigError("trials must be positive")
+        for name, default in (("n", 1), ("trials", 1), ("seed", 0)):
+            object.__setattr__(self, name, _typed(name, getattr(self, name), default))
         parse_symbol(self.symbol)  # validates
 
     def to_dict(self) -> dict:
@@ -71,23 +109,22 @@ class ExperimentConfig:
         if extra:
             raise ConfigError(f"config has unknown fields: {sorted(extra)}")
         noise = d["noise"]
-        if isinstance(noise, str):
-            noise_spec = NoiseSpec(noise)
-        elif isinstance(noise, dict):
-            if set(noise) != {"kind"}:
-                raise ConfigError("noise object must have exactly the field 'kind'")
-            noise_spec = NoiseSpec(**noise)
-        else:
-            raise ConfigError("noise must be a kind string or an object")
+        if isinstance(noise, dict) and set(noise) == {"kind"}:
+            noise = noise["kind"]
+        if not isinstance(noise, str):
+            raise ConfigError("noise must be a kind string or an object with the one field 'kind'")
+        params = d.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("params must be an object")
         return cls(
             scenario=str(d["scenario"]),
             symbol=str(d["symbol"]),
-            n=int(d["n"]),
+            n=d["n"],
             pert=PerturbationSpec.from_dict(d["pert"]),
-            noise=noise_spec,
-            trials=int(d["trials"]),
-            seed=int(d["seed"]),
-            params=dict(d.get("params", {})),
+            noise=NoiseSpec(noise),
+            trials=d["trials"],
+            seed=d["seed"],
+            params=dict(params),
         )
 
 
@@ -111,22 +148,25 @@ class ExperimentReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
-    @property
-    def all_passed(self) -> bool:
-        return all(self.passed.values())
-
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
     description: str
     criteria: tuple
     defaults: dict
     runner: object
+    pert_kind: str | None  # the one perturbation kind the scenario accepts, if any
+    eig_artifacts: bool  # write trial 0's eigenvalue CSV, sidecar and scatter plot
 
 
-def _trial_seeds(cfg: ExperimentConfig) -> list[int]:
-    return [task_seed(cfg.seed, t) for t in range(cfg.trials)]
+def _solve_scale(sym: LaurentSymbol, pert: PerturbationSpec) -> float | None:
+    """The rho of the basis D = diag(rho^i) that resolves r^n noise, or None."""
+    if pert.kind == "exp":
+        if sym.nplus_eff == 0:
+            return pert.r
+        if sym.nminus_eff == 0:
+            return 1.0 / pert.r
+    return None
 
 
 def trial_eigenvalues(
@@ -142,30 +182,65 @@ def trial_eigenvalues(
     unscaled solve.  No such rule is settled for two-sided bands, which keep
     the unscaled solve and resolve r^n only while n log10(1/r) <~ 13.
     """
-    rho = None
-    if pert.kind == "exp":
-        if sym.nplus_eff == 0:
-            rho = pert.r
-        elif sym.nminus_eff == 0:
-            rho = 1.0 / pert.r
-    return linalg.eigenvalues(matrixgen.perturbed(sym, n, pert, noise, seed, scale=rho))
+    scale = _solve_scale(sym, pert)
+    return linalg.eigenvalues(matrixgen.perturbed(sym, n, pert, noise, seed, scale=scale))
 
 
-def _trial_eigenvalues(cfg: ExperimentConfig, sym: LaurentSymbol) -> list[np.ndarray]:
-    def one(s: int) -> np.ndarray:
-        return trial_eigenvalues(sym, cfg.n, cfg.pert, cfg.noise, s)
+class TrialEnsemble:
+    """The trials of one config: seeds, matrices built on demand, eigenvalues solved once.
 
-    return map_into_slots(one, _trial_seeds(cfg))
+    Trial t's matrix is the one :func:`trial_eigenvalues` solves: D^-1 M D
+    where a one-sided band meets r^n noise, M itself otherwise.  Matrices are
+    built only when asked for, so a scenario that stops early skips the
+    remaining trials.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.sym = parse_symbol(cfg.symbol)
+        self.seeds = [task_seed(cfg.seed, t) for t in range(cfg.trials)]
+        self.rho = _solve_scale(self.sym, cfg.pert)
+        self._eigs: dict[int, np.ndarray] = {}
+        self._last: tuple = (None, None)  # the most recent (trial, matrix)
+
+    def matrix(self, t: int) -> np.ndarray:
+        if self._last[0] != t:
+            cfg = self.cfg
+            m = matrixgen.perturbed(self.sym, cfg.n, cfg.pert, cfg.noise, self.seeds[t], scale=self.rho)
+            self._last = (t, m)
+        return self._last[1]
+
+    def eigs(self, t: int) -> np.ndarray:
+        if t not in self._eigs:
+            self._eigs[t] = linalg.eigenvalues(self.matrix(t))
+        return self._eigs[t]
+
+    @property
+    def eigenvalues(self) -> list[np.ndarray]:
+        return [self.eigs(t) for t in range(self.cfg.trials)]
+
+    def eigenvector(self, t: int, lam: complex) -> np.ndarray:
+        """Unit eigenvector of trial t's unscaled matrix M for the eigenvalue lam.
+
+        An eigenvector w of D^-1 M D maps back as v = D w.  D is formed as
+        exp(i log rho - max) so that no entry overflows, then v is normalized.
+        """
+        w = linalg.eigenvector(self.matrix(t), lam)
+        if self.rho is None:
+            return w
+        log_d = np.arange(len(w)) * math.log(self.rho)
+        v = np.exp(log_d - log_d.max()) * w
+        return v / np.linalg.norm(v)
 
 
-def _curve_box(sym: LaurentSymbol, radii, pad: float = 0.5):
+def _probe_draws(sym: LaurentSymbol, radii, pad: float, seed: int):
+    """Endless pseudo-random points, uniform on the box around the curves at radii, padded."""
     pts = np.concatenate([curve_samples(sym, 256, rad) for rad in radii])
-    return (
-        float(pts.real.min()) - pad,
-        float(pts.real.max()) + pad,
-        float(pts.imag.min()) - pad,
-        float(pts.imag.max()) + pad,
-    )
+    lo_re, hi_re = float(pts.real.min()) - pad, float(pts.real.max()) + pad
+    lo_im, hi_im = float(pts.imag.min()) - pad, float(pts.imag.max()) + pad
+    rng = np.random.Generator(np.random.Philox(key=task_seed(seed, _PROBE_STREAM)))
+    while True:
+        yield complex(rng.uniform(lo_re, hi_re), rng.uniform(lo_im, hi_im))
 
 
 def _probe_points_regions(
@@ -182,25 +257,22 @@ def _probe_points_regions(
     statements are then tested on generic points of each fat region.
     """
     curves = [curve_samples(sym, 720, rad) for rad in (1.0, r, 1.0 / r)]
-    lo_re, hi_re, lo_im, hi_im = _curve_box(sym, (1.0, r, 1.0 / r), pad=2 * margin + 0.3)
-    rng = np.random.Generator(np.random.Philox(key=task_seed(seed, _PROBE_STREAM)))
+    draws = _probe_draws(sym, (1.0, r, 1.0 / r), 2 * margin + 0.3, seed)
     buckets: dict[str, list[complex]] = {}
     discovery_floor = 5000  # keep sampling this long so thin regions can show up
-    for attempt in range(max_attempts):
+    for attempt, z in zip(range(max_attempts), draws):
         if (
             attempt >= discovery_floor
             and buckets
             and all(len(b) >= count for b in buckets.values())
         ):
             break
-        z = complex(rng.uniform(lo_re, hi_re), rng.uniform(lo_im, hi_im))
         if min(float(np.min(np.abs(c - z))) for c in curves) < margin:
             continue
         try:
-            label = classify_region(sym, z, r)
+            key = classify_region(sym, z, r).key()
         except (BoundaryError, OnCurveError):
             continue
-        key = label.key()
         if key == "curve":
             continue
         bucket = buckets.setdefault(key, [])
@@ -221,35 +293,30 @@ def _probe_points_off_support(
     The gap keeps the points off the limiting support set of the unperturbed
     matrices, where the radius-rho quadrature is defined.
     """
-    from .symbol import root_profile
-
-    lo_re, hi_re, lo_im, hi_im = _curve_box(sym, (1.0,), pad=1.0)
-    rng = np.random.Generator(np.random.Philox(key=task_seed(seed, _PROBE_STREAM)))
     out: list[complex] = []
-    k = sym.nplus_eff
-    for _ in range(max_attempts):
+    for _, z in zip(range(max_attempts), _probe_draws(sym, (1.0,), 1.0, seed)):
         if len(out) >= count:
             break
-        z = complex(rng.uniform(lo_re, hi_re), rng.uniform(lo_im, hi_im))
-        prof = root_profile(sym, z)
-        mods = prof.moduli()
-        hi = mods[k - 1] if k >= 1 else math.inf
-        lo = mods[k] if k < prof.total else 0.0
-        if math.isinf(hi):
-            out.append(z)
-            continue
-        if hi > 0 and (hi - lo) / hi >= gap_margin:
+        hi, lo = measures.split_root_moduli(sym, z)
+        if math.isinf(hi) or (hi > 0 and (hi - lo) / hi >= gap_margin):
             out.append(z)
     if len(out) < count:
         raise ConfigError("could not place enough probe points off the support set")
     return out
 
 
-def _write_eigs_artifacts(cfg, sym, eigs, out_dir, tag="eigenvalues", trial=0) -> list[str]:
-    if out_dir is None:
-        return []
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _logpot_devs(eig_trials, zs, limit) -> list[float]:
+    """|mean over trials of the empirical log-potential at z - limit(z)| per probe z."""
+    samples = [measures.SpectralSample(e) for e in eig_trials]
+    return [
+        abs(float(np.mean([measures.empirical_logpot(s, z) for s in samples])) - limit(z))
+        for z in zs
+    ]
+
+
+def _write_eigs_artifacts(ens: TrialEnsemble, out_dir: Path) -> list[str]:
+    cfg = ens.cfg
+    eigs = ens.eigs(0)
     # the stored seed is the realization's own seed, so the sample can be
     # regenerated bit-exactly from the sidecar alone (via trial_eigenvalues)
     sample = measures.SpectralSample(
@@ -259,20 +326,15 @@ def _write_eigs_artifacts(cfg, sym, eigs, out_dir, tag="eigenvalues", trial=0) -
             "n": cfg.n,
             "pert": cfg.pert.to_dict(),
             "noise": cfg.noise.kind,
-            "seed": task_seed(cfg.seed, trial),
+            "seed": ens.seeds[0],
             "master_seed": cfg.seed,
-            "trial": trial,
+            "trial": 0,
         },
     )
-    csv_path = out_dir / f"{tag}.csv"
+    csv_path = out_dir / "eigenvalues.csv"
     measures.write_sample_csv(sample, csv_path)
-    svg_path = out_dir / f"{tag}.svg"
-    svg = svgplot.render_svg(
-        "scatter",
-        {"points": eigs, "curve": curve_samples(sym, 512)},
-        {"title": f"{cfg.scenario}: one realization"},
-    )
-    svg_path.write_text(svg, encoding="utf-8")
+    svg_path = out_dir / "eigenvalues.svg"
+    svgplot.write_scatter(svg_path, eigs, curve_samples(ens.sym, 512), f"{cfg.scenario}: one realization")
     return [str(csv_path), str(csv_path) + ".meta.json", str(svg_path)]
 
 
@@ -287,20 +349,44 @@ def _dist_to_spectrum_of_limit_operator(sym: LaurentSymbol, lam: complex, quadra
 
 
 # ---------------------------------------------------------------------------
-# scenario runners: each returns (metrics, passed, artifacts)
+# scenario runners: each takes (ensemble, params, out_dir or None) and
+# returns (metrics, passed, artifacts of its own)
+
+_REGISTRY: dict[str, Scenario] = {}
 
 
-def _run_lsd_subexp(cfg: ExperimentConfig, params: dict, out_dir):
-    sym = parse_symbol(cfg.symbol)
-    eig_trials = _trial_eigenvalues(cfg, sym)
-    push = measures.pushforward_sample(sym, cfg.n)
-    band = params["band_mult"] * math.log(cfg.n) / cfg.n
-    energies = []
-    band_fracs = []
-    for eigs in eig_trials:
-        energies.append(measures.energy_distance(measures.SpectralSample(eigs), push))
-        dists = measures.dist_to_curve(eigs, sym, params["quadrature_n"])
-        band_fracs.append(float(np.mean(dists <= band)))
+def _scenario(name, description, criteria, defaults, pert_kind=None, eig_artifacts=True):
+    """Register the decorated runner as scenario `name`; the defaults are its params schema."""
+
+    def register(runner):
+        _REGISTRY[name] = Scenario(
+            description, tuple(criteria), dict(defaults), runner, pert_kind, eig_artifacts
+        )
+        return runner
+
+    return register
+
+
+@_scenario(
+    "lsd_subexp",
+    "eigenvalues under polynomially small noise approach the symbol-curve law",
+    ("energy_distance", "curve_band"),
+    {
+        "energy_tol": 0.05,
+        "band_mult": 5.0,
+        "band_frac_min": 0.9,
+        "quadrature_n": 1024,
+    },
+)
+def _run_lsd_subexp(ens: TrialEnsemble, params: dict, out_dir):
+    n = ens.cfg.n
+    push = measures.pushforward_sample(ens.sym, n)
+    band = params["band_mult"] * math.log(n) / n
+    energies = [measures.energy_distance(measures.SpectralSample(e), push) for e in ens.eigenvalues]
+    band_fracs = [
+        float(np.mean(measures.dist_to_curve(e, ens.sym, params["quadrature_n"]) <= band))
+        for e in ens.eigenvalues
+    ]
     metrics = {
         "energy_distances": energies,
         "energy_max": max(energies),
@@ -312,21 +398,32 @@ def _run_lsd_subexp(cfg: ExperimentConfig, params: dict, out_dir):
         "energy_distance": max(energies) <= params["energy_tol"],
         "curve_band": min(band_fracs) >= params["band_frac_min"],
     }
-    artifacts = _write_eigs_artifacts(cfg, sym, eig_trials[0], out_dir)
-    return metrics, passed, artifacts
+    return metrics, passed, []
 
 
-def _run_lsd_exp(cfg: ExperimentConfig, params: dict, out_dir):
-    if cfg.pert.kind != "exp":
-        raise ConfigError("lsd_exp needs an exp perturbation")
-    sym = parse_symbol(cfg.symbol)
-    r = cfg.pert.r
-    eig_trials = _trial_eigenvalues(cfg, sym)
+@_scenario(
+    "lsd_exp",
+    "eigenvalues under noise at scale r^N follow the radius-r limit law",
+    ("radius_band", "logpot_probes"),
+    {
+        "check_radius": False,
+        "target_radius": None,
+        "band_mult": 5.0,
+        "band_frac_min": 0.9,
+        "probe_count": 10,
+        "probe_margin": 0.1,
+        "logpot_tol": 0.1,
+    },
+    pert_kind="exp",
+)
+def _run_lsd_exp(ens: TrialEnsemble, params: dict, out_dir):
+    sym, n, r = ens.sym, ens.cfg.n, ens.cfg.pert.r
+    eig_trials = ens.eigenvalues
     metrics: dict = {}
     passed: dict = {}
     if params["check_radius"]:
         target = params["target_radius"] if params["target_radius"] is not None else r
-        band = params["band_mult"] * math.log(cfg.n) / cfg.n
+        band = params["band_mult"] * math.log(n) / n
         # the law is about the empirical measure: a few genuine interior
         # eigenvalues per trial (their expected number does not grow with n)
         # are allowed, so the criterion is the in-band fraction per trial
@@ -346,20 +443,13 @@ def _run_lsd_exp(cfg: ExperimentConfig, params: dict, out_dir):
         metrics["radius_devs"] = None
         passed["radius_band"] = True
     probes = _probe_points_regions(
-        sym, r, params["probe_count"], params["probe_margin"], cfg.seed
+        sym, r, params["probe_count"], params["probe_margin"], ens.cfg.seed
     )
-    devs_by_region: dict[str, list[float]] = {}
-    worst = 0.0
-    for key, zs in probes.items():
-        devs = []
-        for z in zs:
-            emp = float(
-                np.mean([measures.empirical_logpot(measures.SpectralSample(e), z) for e in eig_trials])
-            )
-            lim = measures.limit_logpot_exp(sym, z, r)
-            devs.append(abs(emp - lim))
-        devs_by_region[key] = devs
-        worst = max(worst, max(devs))
+    devs_by_region = {
+        key: _logpot_devs(eig_trials, zs, lambda z: measures.limit_logpot_exp(sym, z, r))
+        for key, zs in probes.items()
+    }
+    worst = max((max(devs) for devs in devs_by_region.values()), default=0.0)
     metrics.update(
         {
             "logpot_regions": {k: len(v) for k, v in probes.items()},
@@ -368,114 +458,126 @@ def _run_lsd_exp(cfg: ExperimentConfig, params: dict, out_dir):
         }
     )
     passed["logpot_probes"] = bool(devs_by_region) and worst <= params["logpot_tol"]
-    artifacts = _write_eigs_artifacts(cfg, sym, eig_trials[0], out_dir)
-    return metrics, passed, artifacts
+    return metrics, passed, []
 
 
-def _run_lsd_superexp(cfg: ExperimentConfig, params: dict, out_dir):
-    if cfg.pert.kind != "superexp":
-        raise ConfigError("lsd_superexp needs a superexp perturbation")
-    sym = parse_symbol(cfg.symbol)
-    eig_trials = _trial_eigenvalues(cfg, sym)
+@_scenario(
+    "lsd_superexp",
+    "noise below every exponential leaves the unperturbed spectral law intact",
+    ("logpot_probes",),
+    {"probe_count": 10, "gap_margin": 0.1, "logpot_tol": 0.1, "quadrature_n": 4096},
+    pert_kind="superexp",
+)
+def _run_lsd_superexp(ens: TrialEnsemble, params: dict, out_dir):
     probes = _probe_points_off_support(
-        sym, params["probe_count"], params["gap_margin"], cfg.seed
+        ens.sym, params["probe_count"], params["gap_margin"], ens.cfg.seed
     )
-    devs = []
-    for z in probes:
-        emp = float(
-            np.mean([measures.empirical_logpot(measures.SpectralSample(e), z) for e in eig_trials])
-        )
-        lim = measures.limit_logpot_unperturbed(sym, z, quadrature_n=params["quadrature_n"])
-        devs.append(abs(emp - lim))
+
+    def limit(z):
+        return measures.limit_logpot_unperturbed(ens.sym, z, quadrature_n=params["quadrature_n"])
+
+    devs = _logpot_devs(ens.eigenvalues, probes, limit)
     metrics = {"logpot_devs": devs, "logpot_dev_max": max(devs), "probes": len(probes)}
     passed = {"logpot_probes": max(devs) <= params["logpot_tol"]}
-    artifacts = _write_eigs_artifacts(cfg, sym, eig_trials[0], out_dir)
-    return metrics, passed, artifacts
+    return metrics, passed, []
 
 
-def _run_macro(cfg: ExperimentConfig, params: dict, out_dir):
-    if cfg.pert.kind != "macro":
-        raise ConfigError("macro needs a macro perturbation")
-    sym = parse_symbol(cfg.symbol)
-    eig_trials = _trial_eigenvalues(cfg, sym)
-    means = [complex(np.mean(e)) for e in eig_trials]
-    second = [float(np.mean(np.abs(e) ** 2)) for e in eig_trials]
-    metrics = {
-        "mean_re": float(np.mean([m.real for m in means])),
-        "mean_im": float(np.mean([m.imag for m in means])),
-        "mean_abs2": float(np.mean(second)),
-    }
-    finite = all(math.isfinite(v) for v in metrics.values())
-    passed = {"moments_finite": finite}
-    artifacts = _write_eigs_artifacts(cfg, sym, eig_trials[0], out_dir)
-    return metrics, passed, artifacts
+@_scenario(
+    "macro",
+    "order-sqrt(1/N) noise: moments and plots only, no closed-form limit",
+    ("moments_finite",),
+    {},
+    pert_kind="macro",
+)
+def _run_macro(ens: TrialEnsemble, params: dict, out_dir):
+    # an overflow here is reported by run() as a non-finite metric
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = [complex(np.mean(e)) for e in ens.eigenvalues]
+        second = [float(np.mean(np.abs(e) ** 2)) for e in ens.eigenvalues]
+        metrics = {
+            "mean_re": float(np.mean([m.real for m in means])),
+            "mean_im": float(np.mean([m.imag for m in means])),
+            "mean_abs2": float(np.mean(second)),
+        }
+    passed = {"moments_finite": all(math.isfinite(v) for v in metrics.values())}
+    return metrics, passed, []
 
 
-def _run_no_outlier(cfg: ExperimentConfig, params: dict, out_dir):
-    sym = parse_symbol(cfg.symbol)
-    eig_trials = _trial_eigenvalues(cfg, sym)
+@_scenario(
+    "no_outlier",
+    "no eigenvalue escapes the eps-fattening of the limit-operator spectrum",
+    ("no_outliers",),
+    {"eps": 0.2, "quadrature_n": 1024},
+)
+def _run_no_outlier(ens: TrialEnsemble, params: dict, out_dir):
     eps = params["eps"]
     qn = params["quadrature_n"]
-    violations = 0
-    max_excess = 0.0
-    for eigs in eig_trials:
-        for lam in eigs:
-            d = _dist_to_spectrum_of_limit_operator(sym, complex(lam), qn)
-            if d > eps:
-                violations += 1
-            max_excess = max(max_excess, d)
-    metrics = {"violations": violations, "max_dist": max_excess, "eps": eps}
+    dists = [
+        _dist_to_spectrum_of_limit_operator(ens.sym, complex(lam), qn)
+        for eigs in ens.eigenvalues
+        for lam in eigs
+    ]
+    violations = sum(d > eps for d in dists)
+    metrics = {"violations": violations, "max_dist": max(0.0, *dists), "eps": eps}
     passed = {"no_outliers": violations == 0}
-    artifacts = _write_eigs_artifacts(cfg, sym, eig_trials[0], out_dir)
-    return metrics, passed, artifacts
+    return metrics, passed, []
 
 
-def _run_outlier_count(cfg: ExperimentConfig, params: dict, out_dir):
-    sym = parse_symbol(cfg.symbol)
-    eig_trials = _trial_eigenvalues(cfg, sym)
+@_scenario(
+    "outlier_count",
+    "empirical counts of eigenvalues far from the curve, per winding number",
+    ("counted",),
+    {"margin": 0.1, "quadrature_n": 1024},
+)
+def _run_outlier_count(ens: TrialEnsemble, params: dict, out_dir):
     margin = params["margin"]
-    qn = params["quadrature_n"]
     trial_dicts: list[dict[str, int]] = []
-    for eigs in eig_trials:
-        dists = measures.dist_to_curve(eigs, sym, qn)
+    for eigs in ens.eigenvalues:
+        dists = measures.dist_to_curve(eigs, ens.sym, params["quadrature_n"])
         trial_counts: dict[str, int] = {}
         for lam, d in zip(eigs, dists):
             if d <= margin:
                 continue
             try:
-                w = winding_number(sym, complex(lam))
+                w = winding_number(ens.sym, complex(lam))
             except OnCurveError:
                 continue
             key = str(w)
             trial_counts[key] = trial_counts.get(key, 0) + 1
         trial_dicts.append(trial_counts)
-    keys = sorted(set().union(*trial_dicts)) if trial_dicts else []
+    keys = sorted(set().union(*trial_dicts))
     mean_counts = {k: float(np.mean([d.get(k, 0) for d in trial_dicts])) for k in keys}
     metrics = {"mean_counts_by_winding": mean_counts, "margin": margin}
     passed = {"counted": True}
-    artifacts = _write_eigs_artifacts(cfg, sym, eig_trials[0], out_dir)
-    return metrics, passed, artifacts
+    return metrics, passed, []
 
 
-def _run_pairing(cfg: ExperimentConfig, params: dict, out_dir):
-    sym = parse_symbol(cfg.symbol)
-    eig_trials = _trial_eigenvalues(cfg, sym)
-    targets = curve_samples(sym, cfg.n)
-    costs = [measures.match_cost(eigs, targets, params["p"]) for eigs in eig_trials]
+@_scenario(
+    "pairing",
+    "optimal matching of eigenvalues to the symbol at roots of unity",
+    ("match_cost",),
+    {"p": 1.0, "cost_tol": 0.1, "pass_frac": 0.9},
+)
+def _run_pairing(ens: TrialEnsemble, params: dict, out_dir):
+    targets = curve_samples(ens.sym, ens.cfg.n)
+    costs = [measures.match_cost(eigs, targets, params["p"]) for eigs in ens.eigenvalues]
     ok_frac = float(np.mean([c <= params["cost_tol"] for c in costs]))
     metrics = {"match_costs": costs, "cost_max": max(costs), "ok_frac": ok_frac}
     passed = {"match_cost": ok_frac >= params["pass_frac"]}
-    artifacts = _write_eigs_artifacts(cfg, sym, eig_trials[0], out_dir)
-    return metrics, passed, artifacts
+    return metrics, passed, []
 
 
-def _run_radius_law(cfg: ExperimentConfig, params: dict, out_dir):
-    if cfg.pert.kind != "poly":
-        raise ConfigError("radius_law needs a poly perturbation")
-    sym = parse_symbol(cfg.symbol)
-    eig_trials = _trial_eigenvalues(cfg, sym)
-    gamma = cfg.pert.gamma
-    bound = (gamma - 1.0 - params["eps"]) * math.log(cfg.n) / cfg.n
+@_scenario(
+    "radius_law",
+    "all eigenvalues stay (gamma-1-eps) log N / N inside the unit circle",
+    ("radius_bound",),
+    {"eps": 0.5, "pass_frac": 0.9},
+    pert_kind="poly",
+)
+def _run_radius_law(ens: TrialEnsemble, params: dict, out_dir):
+    n = ens.cfg.n
+    eig_trials = ens.eigenvalues
+    bound = (ens.cfg.pert.gamma - 1.0 - params["eps"]) * math.log(n) / n
     min_gaps = [float(np.min(1.0 - np.abs(e))) for e in eig_trials]
     pooled = np.concatenate([1.0 - np.abs(e) for e in eig_trials])
     ok_frac = float(np.mean([g >= bound for g in min_gaps]))
@@ -490,67 +592,68 @@ def _run_radius_law(cfg: ExperimentConfig, params: dict, out_dir):
         "ok_frac": ok_frac,
     }
     passed = {"radius_bound": ok_frac >= params["pass_frac"]}
-    artifacts = _write_eigs_artifacts(cfg, sym, eig_trials[0], out_dir)
-    return metrics, passed, artifacts
+    return metrics, passed, []
 
 
-def _localization_rows(sym, m, eigs, band_lo, band_hi, qn, mu1):
+def _localization_rows(ens: TrialEnsemble, band_lo, band_hi, qn, mu1):
+    """One row per near-curve eigenpair of every trial, eigenvalues in lexicographic order."""
     rows = []
-    dists = measures.dist_to_curve(eigs, sym, qn)
-    order = np.lexsort((eigs.imag, eigs.real))
-    for idx in order:
-        lam = complex(eigs[idx])
-        d_curve = float(dists[idx])
-        if not band_lo <= d_curve <= band_hi:
-            continue
-        try:
-            w = winding_number(sym, lam)
-        except OnCurveError:
-            continue
-        if w == 0:
-            continue
-        try:
-            v = linalg.eigenvector(m, lam)
-        except ToepspecError:
-            continue
-        direction = "forward" if w < 0 else "reverse"
-        profile = eigloc.tail_norm_profile(v, direction)
-        below = np.nonzero(profile <= 0.5)[0]
-        tail_halflen = int(below[0]) + 1 if len(below) else len(v)
-        rows.append(
-            (
-                lam,
-                d_curve,
-                w,
-                float(np.max(np.abs(v))),
-                eigloc.supp_size(v, mu1),
-                tail_halflen,
+    for t in range(ens.cfg.trials):
+        eigs = ens.eigs(t)
+        dists = measures.dist_to_curve(eigs, ens.sym, qn)
+        for idx in np.lexsort((eigs.imag, eigs.real)):
+            lam = complex(eigs[idx])
+            d_curve = float(dists[idx])
+            if not band_lo <= d_curve <= band_hi:
+                continue
+            try:
+                w = winding_number(ens.sym, lam)
+            except OnCurveError:
+                continue
+            if w == 0:
+                continue
+            try:
+                v = ens.eigenvector(t, lam)
+            except ToepspecError:
+                continue
+            direction = "forward" if w < 0 else "reverse"
+            profile = eigloc.tail_norm_profile(v, direction)
+            below = np.nonzero(profile <= 0.5)[0]
+            tail_halflen = int(below[0]) + 1 if len(below) else len(v)
+            rows.append(
+                (
+                    lam,
+                    d_curve,
+                    w,
+                    float(np.max(np.abs(v))),
+                    eigloc.supp_size(v, mu1),
+                    tail_halflen,
+                )
             )
-        )
     return rows
 
 
-def _run_eigvec_bulk(cfg: ExperimentConfig, params: dict, out_dir):
-    sym = parse_symbol(cfg.symbol)
-    seeds = _trial_seeds(cfg)
-    band_hi = params["c_band"] * math.log(cfg.n) / cfg.n
-    band_lo = math.log(cfg.n) / (params["c_band"] * cfg.n)
-    loc_len = params["loc_mult"] * cfg.n / math.log(cfg.n)
-    all_rows = []
-
-    def one(s: int):
-        m = matrixgen.perturbed(sym, cfg.n, cfg.pert, cfg.noise, s)
-        eigs = linalg.eigenvalues(m)
-        return _localization_rows(
-            sym, m, eigs, band_lo, band_hi, params["quadrature_n"], params["supp_mu1"]
-        )
-
-    for rows in map_into_slots(one, seeds):
-        all_rows.extend(rows)
+@_scenario(
+    "eigvec_bulk",
+    "eigenvectors of near-curve eigenvalues localize at scale N / log N",
+    ("localization",),
+    {
+        "c_band": 4.0,
+        "loc_mult": 4.0,
+        "supp_mu1": 0.5,
+        "frac": 0.9,
+        "quadrature_n": 1024,
+    },
+    eig_artifacts=False,
+)
+def _run_eigvec_bulk(ens: TrialEnsemble, params: dict, out_dir):
+    n = ens.cfg.n
+    band_hi = params["c_band"] * math.log(n) / n
+    band_lo = math.log(n) / (params["c_band"] * n)
+    loc_len = params["loc_mult"] * n / math.log(n)
+    all_rows = _localization_rows(ens, band_lo, band_hi, params["quadrature_n"], params["supp_mu1"])
     if not all_rows:
-        metrics = {"qualifying": 0}
-        passed = {"localization": False}
-        return metrics, passed, []
+        return {"qualifying": 0}, {"localization": False}, []
     supps = np.array([r[4] for r in all_rows], dtype=float)
     halflens = np.array([r[5] for r in all_rows], dtype=float)
     frac_loc = float(np.mean(supps <= loc_len))
@@ -565,42 +668,40 @@ def _run_eigvec_bulk(cfg: ExperimentConfig, params: dict, out_dir):
     passed = {"localization": frac_loc >= params["frac"]}
     artifacts = []
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "localization.csv"
         eigloc.write_localization_csv(all_rows, path)
         artifacts.append(str(path))
     return metrics, passed, artifacts
 
 
-def _run_eigvec_outlier(cfg: ExperimentConfig, params: dict, out_dir):
-    sym = parse_symbol(cfg.symbol)
-    radius = params["disk_radius"]
+@_scenario(
+    "eigvec_outlier",
+    "eigenvectors of deep-interior eigenvalues are completely localized",
+    ("outlier_linf",),
+    {"disk_radius": 0.8, "linf_min": 0.2, "stop_after_found": 1},
+    eig_artifacts=False,
+)
+def _run_eigvec_outlier(ens: TrialEnsemble, params: dict, out_dir):
     found = []
-    trials_run = 0
-    for t in range(cfg.trials):
-        trials_run += 1
-        m = matrixgen.perturbed(sym, cfg.n, cfg.pert, cfg.noise, task_seed(cfg.seed, t))
-        eigs = linalg.eigenvalues(m)
-        inside = [complex(l) for l in eigs if abs(l) <= radius]
+    for t in range(ens.cfg.trials):
+        inside = [complex(l) for l in ens.eigs(t) if abs(l) <= params["disk_radius"]]
         for lam in sorted(inside, key=lambda c: (c.real, c.imag)):
             try:
-                v = linalg.eigenvector(m, lam)
+                v = ens.eigenvector(t, lam)
             except ToepspecError:
                 continue
-            pure = eigloc.pure_state(lam, cfg.n)
             found.append(
                 {
                     "lambda": [lam.real, lam.imag],
                     "linf": float(np.max(np.abs(v))),
-                    "pure_state_dist": eigloc.phase_aligned_distance(v, pure),
+                    "pure_state_dist": eigloc.phase_aligned_distance(v, eigloc.pure_state(lam, len(v))),
                 }
             )
         if found and len(found) >= params["stop_after_found"]:
             break
     metrics = {
         "outliers_found": len(found),
-        "trials_run": trials_run,
+        "trials_run": t + 1,
         "observations": found,
         "linf_min": min((f["linf"] for f in found), default=None),
     }
@@ -608,21 +709,25 @@ def _run_eigvec_outlier(cfg: ExperimentConfig, params: dict, out_dir):
     return metrics, passed, []
 
 
-def _run_grushin(cfg: ExperimentConfig, params: dict, out_dir):
-    from .grushin import equivalence_gap
-
-    sym = parse_symbol(cfg.symbol)
+@_scenario(
+    "grushin",
+    "log-determinant of the noisy matrix vs truncated singular-value sum",
+    ("equiv_gap",),
+    {"z": [3.0, 0.2], "alpha": None, "gap_tol": 0.05, "pass_frac": 0.95},
+    eig_artifacts=False,
+)
+def _run_grushin(ens: TrialEnsemble, params: dict, out_dir):
+    cfg = ens.cfg
+    if len(params["z"]) != 2:
+        raise ConfigError("param z must be [re, im]")
     z = complex(params["z"][0], params["z"][1])
     alpha = params["alpha"] if params["alpha"] is not None else 1.0 / cfg.n
     delta = cfg.pert.coupling(cfg.n)
-    a = matrixgen.toeplitz(sym, cfg.n) - z * np.eye(cfg.n)
-    seeds = _trial_seeds(cfg)
-
-    def one(s: int) -> float:
-        q = matrixgen.sample_noise(cfg.noise, cfg.n, s)
-        return equivalence_gap(a, q, delta, alpha)
-
-    gaps = map_into_slots(one, seeds)
+    a = matrixgen.toeplitz(ens.sym, cfg.n) - z * np.eye(cfg.n)
+    gaps = [
+        grushin.equivalence_gap(a, matrixgen.sample_noise(cfg.noise, cfg.n, s), delta, alpha)
+        for s in ens.seeds
+    ]
     ok_frac = float(np.mean([g <= params["gap_tol"] for g in gaps]))
     metrics = {
         "gaps_max": max(gaps),
@@ -635,173 +740,7 @@ def _run_grushin(cfg: ExperimentConfig, params: dict, out_dir):
     return metrics, passed, []
 
 
-def _run_pseudospec_map(cfg: ExperimentConfig, params: dict, out_dir):
-    sym = parse_symbol(cfg.symbol)
-    g = params["grid"]
-    grid = pseudospec.GridSpec(
-        re_min=float(g["re_min"]),
-        re_max=float(g["re_max"]),
-        im_min=float(g["im_min"]),
-        im_max=float(g["im_max"]),
-        nx=int(g["nx"]),
-        ny=int(g["ny"]),
-    )
-    kind = params["matrix"]
-    if kind == "circulant":
-        m = matrixgen.circulant(sym, cfg.n)
-    elif kind == "toeplitz":
-        m = matrixgen.toeplitz(sym, cfg.n)
-    elif kind == "perturbed":
-        m = matrixgen.perturbed(sym, cfg.n, cfg.pert, cfg.noise, task_seed(cfg.seed, 0))
-    else:
-        raise ConfigError(f"unknown matrix kind {kind!r}")
-    field = pseudospec.smin_field(m, grid)
-    levels = sorted(float(l) for l in params["levels"])
-    nested = True
-    for l1, l2 in zip(levels, levels[1:]):
-        inside1 = field.values < l1
-        inside2 = field.values < l2
-        if np.any(inside1 & ~inside2):
-            nested = False
-    metrics = {
-        "field_min": float(field.values.min()),
-        "field_max": float(field.values.max()),
-        "levels": levels,
-    }
-    passed = {"nesting": nested}
-    if kind == "circulant" and params["oracle"]:
-        spectrum = curve_samples(sym, cfg.n)
-        res = grid.res()
-        ims = grid.ims()
-        zs = (res[None, :] + 1j * ims[:, None]).ravel()
-        dist = np.min(np.abs(zs[:, None] - spectrum[None, :]), axis=1)
-        err = float(np.max(np.abs(field.values - dist)))
-        metrics["oracle_err_max"] = err
-        passed["normal_oracle"] = err <= params["oracle_tol"]
-    else:
-        passed["normal_oracle"] = True
-    artifacts = []
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = out_dir / "field.csv"
-        pseudospec.write_field_csv(field, csv_path)
-        lines = []
-        for level, polys in zip(levels, pseudospec.contour_lines(field, levels)):
-            lines.extend((level, poly) for poly in polys)
-        svg_path = out_dir / "contours.svg"
-        svg_path.write_text(
-            svgplot.render_svg("contour", {"lines": lines}, {"title": "pseudospectrum"}),
-            encoding="utf-8",
-        )
-        artifacts.extend([str(csv_path), str(svg_path)])
-    return metrics, passed, artifacts
-
-
-_REGISTRY: dict[str, Scenario] = {}
-
-
-def _register(name, description, criteria, defaults, runner):
-    _REGISTRY[name] = Scenario(name, description, tuple(criteria), dict(defaults), runner)
-
-
-_register(
-    "lsd_subexp",
-    "eigenvalues under polynomially small noise approach the symbol-curve law",
-    ("energy_distance", "curve_band"),
-    {
-        "energy_tol": 0.05,
-        "band_mult": 5.0,
-        "band_frac_min": 0.9,
-        "quadrature_n": 1024,
-    },
-    _run_lsd_subexp,
-)
-_register(
-    "lsd_exp",
-    "eigenvalues under noise at scale r^N follow the radius-r limit law",
-    ("radius_band", "logpot_probes"),
-    {
-        "check_radius": False,
-        "target_radius": None,
-        "band_mult": 5.0,
-        "band_frac_min": 0.9,
-        "probe_count": 10,
-        "probe_margin": 0.1,
-        "logpot_tol": 0.1,
-    },
-    _run_lsd_exp,
-)
-_register(
-    "lsd_superexp",
-    "noise below every exponential leaves the unperturbed spectral law intact",
-    ("logpot_probes",),
-    {"probe_count": 10, "gap_margin": 0.1, "logpot_tol": 0.1, "quadrature_n": 4096},
-    _run_lsd_superexp,
-)
-_register(
-    "macro",
-    "order-sqrt(1/N) noise: moments and plots only, no closed-form limit",
-    ("moments_finite",),
-    {},
-    _run_macro,
-)
-_register(
-    "no_outlier",
-    "no eigenvalue escapes the eps-fattening of the limit-operator spectrum",
-    ("no_outliers",),
-    {"eps": 0.2, "quadrature_n": 1024},
-    _run_no_outlier,
-)
-_register(
-    "outlier_count",
-    "empirical counts of eigenvalues far from the curve, per winding number",
-    ("counted",),
-    {"margin": 0.1, "quadrature_n": 1024},
-    _run_outlier_count,
-)
-_register(
-    "pairing",
-    "optimal matching of eigenvalues to the symbol at roots of unity",
-    ("match_cost",),
-    {"p": 1.0, "cost_tol": 0.1, "pass_frac": 0.9},
-    _run_pairing,
-)
-_register(
-    "radius_law",
-    "all eigenvalues stay (gamma-1-eps) log N / N inside the unit circle",
-    ("radius_bound",),
-    {"eps": 0.5, "pass_frac": 0.9},
-    _run_radius_law,
-)
-_register(
-    "eigvec_bulk",
-    "eigenvectors of near-curve eigenvalues localize at scale N / log N",
-    ("localization",),
-    {
-        "c_band": 4.0,
-        "loc_mult": 4.0,
-        "supp_mu1": 0.5,
-        "frac": 0.9,
-        "quadrature_n": 1024,
-    },
-    _run_eigvec_bulk,
-)
-_register(
-    "eigvec_outlier",
-    "eigenvectors of deep-interior eigenvalues are completely localized",
-    ("outlier_linf",),
-    {"disk_radius": 0.8, "linf_min": 0.2, "stop_after_found": 1},
-    _run_eigvec_outlier,
-)
-_register(
-    "grushin",
-    "log-determinant of the noisy matrix vs truncated singular-value sum",
-    ("equiv_gap",),
-    {"z": [3.0, 0.2], "alpha": None, "gap_tol": 0.05, "pass_frac": 0.95},
-    _run_grushin,
-)
-_register(
+@_scenario(
     "pseudospec_map",
     "smallest-singular-value field over a grid, with the normal-matrix oracle",
     ("nesting", "normal_oracle"),
@@ -812,8 +751,40 @@ _register(
         "oracle": False,
         "oracle_tol": 1e-8,
     },
-    _run_pseudospec_map,
+    eig_artifacts=False,
 )
+def _run_pseudospec_map(ens: TrialEnsemble, params: dict, out_dir):
+    cfg = ens.cfg
+    grid = pseudospec.GridSpec(**params["grid"])
+    kind = params["matrix"]
+    m = matrixgen.build_matrix(kind, ens.sym, cfg.n, cfg.pert, cfg.noise, ens.seeds[0])
+    field = pseudospec.smin_field(m, grid)
+    levels = sorted(float(l) for l in params["levels"])
+    vals = field.values
+    nested = not any(np.any((vals < l1) & ~(vals < l2)) for l1, l2 in zip(levels, levels[1:]))
+    metrics = {
+        "field_min": float(field.values.min()),
+        "field_max": float(field.values.max()),
+        "levels": levels,
+    }
+    passed = {"nesting": nested}
+    if kind == "circulant" and params["oracle"]:
+        spectrum = curve_samples(ens.sym, cfg.n)
+        zs = (grid.res()[None, :] + 1j * grid.ims()[:, None]).ravel()
+        dist = np.min(np.abs(zs[:, None] - spectrum[None, :]), axis=1)
+        err = float(np.max(np.abs(field.values - dist)))
+        metrics["oracle_err_max"] = err
+        passed["normal_oracle"] = err <= params["oracle_tol"]
+    else:
+        passed["normal_oracle"] = True
+    artifacts = []
+    if out_dir is not None:
+        csv_path = out_dir / "field.csv"
+        svg_path = out_dir / "contours.svg"
+        pseudospec.write_field_csv(field, csv_path)
+        pseudospec.write_contour_svg(field, levels, svg_path, "pseudospectrum")
+        artifacts.extend([str(csv_path), str(svg_path)])
+    return metrics, passed, artifacts
 
 
 def scenarios() -> dict:
@@ -841,12 +812,25 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     if unknown:
         raise ConfigError(f"unknown params for {config.scenario}: {sorted(unknown)}")
     params = dict(sc.defaults)
-    params.update(config.params)
-    metrics, passed, artifacts = sc.runner(config, params, out_dir)
+    params.update({k: _typed(f"param {k}", v, sc.defaults[k]) for k, v in config.params.items()})
+    if sc.pert_kind is not None and config.pert.kind != sc.pert_kind:
+        raise ConfigError(f"{config.scenario} needs a {sc.pert_kind!r} perturbation")
+    ens = TrialEnsemble(config)
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    metrics, passed, artifacts = sc.runner(ens, params, out_dir)
     if set(passed) != set(sc.criteria):
         raise ConfigError(
             f"scenario {config.scenario} must report exactly its declared criteria"
         )
+    for key, val in metrics.items():
+        try:
+            json.dumps(val, allow_nan=False)
+        except ValueError:
+            raise NonFiniteError(f"metric {key} of {config.scenario} is not finite") from None
+    if sc.eig_artifacts and out_dir is not None:
+        artifacts = _write_eigs_artifacts(ens, out_dir) + artifacts
     report = ExperimentReport(
         scenario=config.scenario,
         config=config.to_dict(),
@@ -855,7 +839,5 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         artifacts=artifacts,
     )
     if out_dir is not None:
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
-        (out_path / "report.json").write_text(report.to_json(), encoding="utf-8")
+        (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
     return report

@@ -18,6 +18,7 @@ from .symbol import LaurentSymbol
 
 NOISE_KINDS = ("complex_gaussian", "real_gaussian", "rademacher", "uniform_pm")
 PERT_KINDS = ("none", "poly", "exp", "superexp", "macro")
+MATRIX_KINDS = ("toeplitz", "circulant", "perturbed")
 
 _MASK64 = (1 << 64) - 1
 
@@ -31,12 +32,17 @@ def _splitmix64(x: int) -> int:
 
 
 def task_seed(master_seed: int, task_index: int) -> int:
-    """Derive the seed for one parallel task from a master seed.
+    """Derive the seed for one task (a trial, a probe stream) from a master seed.
 
-    A splitmix64 hash of (master, index) keeps task streams independent and
-    identical whatever the thread scheduling.
+    A splitmix64 hash of (master, index) keeps task streams independent, and
+    each stream depends on its index alone, not on the tasks run before it.
     """
     return _splitmix64(_splitmix64(master_seed & _MASK64) ^ (task_index & _MASK64))
+
+
+def is_real(x) -> bool:
+    """True for a finite int or float; bools are not numbers here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,10 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.kind not in PERT_KINDS:
             raise ConfigError(f"unknown perturbation kind {self.kind!r}; choose from {PERT_KINDS}")
+        for name in ("gamma", "r", "c", "sigma"):
+            val = getattr(self, name)
+            if val is not None and not is_real(val):
+                raise ConfigError(f"perturbation field {name} must be a finite number, got {val!r}")
         if self.kind == "poly" and (self.gamma is None):
             raise ConfigError("poly perturbation needs gamma")
         if self.kind == "exp" and (self.r is None or not 0 < self.r < 1):
@@ -256,3 +266,18 @@ def perturbed(
     idx = np.arange(n)
     factors = np.exp(n * math.log(pert.r) + (idx[None, :] - idx[:, None]) * math.log(scale))
     return base + factors * sample_noise(noise, n, seed)
+
+
+def build_matrix(
+    kind: str, symbol: LaurentSymbol, n: int, pert: PerturbationSpec, noise: NoiseSpec, seed: int
+) -> np.ndarray:
+    """The matrix of one of :data:`MATRIX_KINDS`; ``perturbed`` draws its noise from ``seed``.
+
+    The ``perturbed`` kind is never scaled: s_min(z - M), unlike the
+    spectrum, is not invariant under the similarity D^-1 M D.
+    """
+    if kind not in MATRIX_KINDS:
+        raise ConfigError(f"unknown matrix kind {kind!r}; choose from {MATRIX_KINDS}")
+    if kind == "perturbed":
+        return perturbed(symbol, n, pert, noise, seed)
+    return circulant(symbol, n) if kind == "circulant" else toeplitz(symbol, n)

@@ -125,6 +125,14 @@ def limit_logpot_exp(symbol: LaurentSymbol, z: complex, r: float) -> float:
     return _log_leading_and_top_roots(prof, count) + max(ell - symbol.nplus_eff, 0) * math.log(r)
 
 
+def split_root_moduli(symbol: LaurentSymbol, z: complex) -> tuple[float, float]:
+    """Moduli of the nplus-th and (nplus+1)-th roots (inf and 0 past the ends)."""
+    prof = root_profile(symbol, z)
+    mods = prof.moduli()
+    k = symbol.nplus_eff
+    return (mods[k - 1] if k >= 1 else math.inf), (mods[k] if k < prof.total else 0.0)
+
+
 def limit_logpot_unperturbed(
     symbol: LaurentSymbol,
     z: complex,
@@ -138,11 +146,7 @@ def limit_logpot_unperturbed(
     on the choice inside that interval.  Points where the interval closes
     (the limiting support set) are rejected.
     """
-    prof = root_profile(symbol, z)
-    mods = prof.moduli()
-    k = symbol.nplus_eff
-    hi = mods[k - 1] if k >= 1 else math.inf
-    lo = mods[k] if k < prof.total else 0.0
+    hi, lo = split_root_moduli(symbol, z)
     if not (hi > lo and (math.isinf(hi) or (hi - lo) > rel_gap * hi)):
         raise LambdaSetError(f"z = {z} lies on the limiting support set (root moduli {hi} ~ {lo})")
     if math.isinf(hi):

@@ -1,9 +1,7 @@
 """Smallest-singular-value fields over complex-plane grids and contour extraction.
 
 The epsilon-pseudospectrum of M is the sublevel set {z : s_min(z - M) < eps},
-so one scalar field per matrix yields every level line at once.  Grid nodes
-are independent; they are filled in parallel into preallocated slots, which
-keeps the field deterministic under any worker count.
+so one scalar field per matrix yields every level line at once.
 """
 
 from __future__ import annotations
@@ -13,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._parallel import map_into_slots
 from .errors import ShapeError, SizeLimitError
 from .linalg import smallest_singular
+from .svgplot import render_svg
 
 MAX_GRID_NODES = 4_000_000
 
@@ -75,20 +73,9 @@ def smin_field(m: np.ndarray, grid: GridSpec) -> ScalarField:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError("expected a square matrix")
-    n = m.shape[0]
-    res = grid.res()
-    ims = grid.ims()
-    eye = np.eye(n)
-
-    def row(j: int) -> np.ndarray:
-        out = np.empty(grid.nx, dtype=float)
-        for i in range(grid.nx):
-            z = complex(res[i], ims[j])
-            out[i] = smallest_singular(z * eye - m)
-        return out
-
-    rows = map_into_slots(row, list(range(grid.ny)))
-    return ScalarField(grid=grid, values=np.concatenate(rows))
+    eye = np.eye(m.shape[0])
+    zs = [complex(re, im) for im in grid.ims() for re in grid.res()]
+    return ScalarField(grid=grid, values=np.array([smallest_singular(z * eye - m) for z in zs]))
 
 
 def _interp(p0, p1, v0, v1, level):
@@ -113,24 +100,19 @@ def _cell_segments(corners, values, level):
         a, b = edges[edge]
         return _interp(corners[a], corners[b], values[a], values[b], level)
 
+    # a cell and its complement cross the same edges: key on the smaller index
     table = {
         0b0000: [],
-        0b1111: [],
-        0b1000: [("left", "top")],
         0b0111: [("left", "top")],
         0b0100: [("top", "right")],
-        0b1011: [("top", "right")],
         0b0010: [("right", "bottom")],
-        0b1101: [("right", "bottom")],
         0b0001: [("bottom", "left")],
-        0b1110: [("bottom", "left")],
-        0b1100: [("left", "right")],
         0b0011: [("left", "right")],
         0b0110: [("top", "bottom")],
-        0b1001: [("top", "bottom")],
     }
-    if idx in table:
-        return [(pt(a), pt(b)) for a, b in table[idx]]
+    key = min(idx, 0b1111 ^ idx)
+    if key in table:
+        return [(pt(a), pt(b)) for a, b in table[key]]
     # saddle cells 0101 / 1010: connect according to the cell average
     avg_above = (sum(values) / 4.0) >= level
     if idx == 0b1010:
@@ -212,6 +194,12 @@ def _chain_segments(segments, eps):
                 current = nxt
         polylines.append(chain)
     return polylines
+
+
+def write_contour_svg(field: ScalarField, levels, path, title: str) -> None:
+    """The level lines of the field at the ascending levels, as an SVG figure."""
+    lines = [(lv, poly) for lv, polys in zip(levels, contour_lines(field, levels)) for poly in polys]
+    Path(path).write_text(render_svg("contour", {"lines": lines}, {"title": title}), encoding="utf-8")
 
 
 def write_field_csv(field: ScalarField, path) -> None:

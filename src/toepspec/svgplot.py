@@ -8,6 +8,7 @@ labeled axes and 3-significant-digit tick labels.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -131,6 +132,12 @@ def render_svg(kind: str, data: dict, style: dict | None = None) -> str:
     if kind == "histogram":
         return _render_histogram(data, style)
     raise ShapeError(f"unknown plot kind {kind!r}")
+
+
+def write_scatter(path, points, curve, title: str) -> None:
+    """Points over a closed curve (a spectrum over its symbol curve), as an SVG file."""
+    svg = render_svg("scatter", {"points": points, "curve": curve}, {"title": title})
+    Path(path).write_text(svg, encoding="utf-8")
 
 
 def _render_scatter(data: dict, style: dict) -> str:

@@ -14,10 +14,18 @@ expected number does not grow with N, so 7a asks for at least 90% of the
 eigenvalues of every trial inside the band, not for the farthest one.
 """
 
+import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import toepspec
 
 from helpers import ks_distance, sample_widom_checkable
 from toepspec import eigloc, grushin, linalg, measures
@@ -358,7 +366,9 @@ def test_c13_singular_value_law():
     check(13, f"singular-value law KS distance {d:.4f} <= 0.05", d <= 0.05)
 
 
-def test_c14_reproducibility(monkeypatch):
+def test_c14_reproducibility(tmp_path):
+    # two runs in this process and one in a fresh interpreter, all writing to
+    # the same directory so that the artifact paths in the reports agree
     cfg = ExperimentConfig(
         scenario="lsd_exp",
         symbol=JORDAN,
@@ -369,10 +379,28 @@ def test_c14_reproducibility(monkeypatch):
         seed=1414,
         params={"check_radius": True, "probe_count": 4},
     )
-    monkeypatch.setenv("TOEPSPEC_THREADS", "1")
-    first = run(cfg).to_json()
-    monkeypatch.setenv("TOEPSPEC_THREADS", "4")
-    second = run(cfg).to_json()
-    monkeypatch.delenv("TOEPSPEC_THREADS")
-    third = run(cfg).to_json()
-    check(14, "byte-identical reports across worker counts", first == second == third)
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+
+    def outputs():
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    run(cfg, out_dir=out)
+    first = outputs()
+    run(cfg, out_dir=out)
+    second = outputs()
+    shutil.rmtree(out)
+    env = dict(os.environ, PYTHONPATH=str(Path(toepspec.__file__).resolve().parents[1]))
+    subprocess.run(
+        [sys.executable, "-m", "toepspec.cli", "run", str(cfg_path), "--out-dir", str(out)],
+        env=env,
+        check=True,
+        capture_output=True,
+    )
+    third = outputs()
+    check(
+        14,
+        "byte-identical reports and artifacts, in process and in a fresh interpreter",
+        "report.json" in first and first == second == third,
+    )

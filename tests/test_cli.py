@@ -120,6 +120,38 @@ class TestRunCommand:
         assert main(["run", str(cfg_path)]) == 1
 
 
+_TWO_SIDED = {
+    "scenario": "lsd_exp",
+    "symbol": "-1:0.1;1:1",
+    "n": 20,
+    "pert": {"kind": "exp", "r": 0.5},
+    "noise": "complex_gaussian",
+    "trials": 1,
+    "seed": 1,
+    "params": {},
+}
+_GRID_NO_NY = {"re_min": -1, "re_max": 1, "im_min": -1, "im_max": 1, "nx": 5}
+
+
+@pytest.mark.parametrize(
+    "patch, code, needle",
+    [
+        ({"params": {"probe_count": "3"}}, 1, "probe_count"),
+        ({"scenario": "lsd_subexp", "pert": {"kind": "poly", "gamma": "2"}}, 1, "gamma"),
+        ({"scenario": "pseudospec_map", "params": {"grid": _GRID_NO_NY}}, 1, "grid"),
+        ({"scenario": "macro", "pert": {"kind": "macro", "sigma": 1e308}}, 2, "mean_abs2"),
+        ({"scenario": "pairing", "n": 20.7}, 1, "n must be a positive integer"),
+    ],
+    ids=["string_int_param", "string_pert_field", "grid_without_ny", "overflowing_metric", "fractional_n"],
+)
+def test_malformed_config_ends_in_one_line(tmp_path, capsys, patch, code, needle):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**_TWO_SIDED, **patch}))
+    assert main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == code
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith(("error: ", "numerical failure: ")) and needle in first
+
+
 class TestListCommand:
     def test_lists_twelve(self, capsys):
         assert main(["list"]) == 0

@@ -4,7 +4,7 @@ import pytest
 
 from toepspec.errors import ShapeError, SizeLimitError
 from toepspec.linalg import smallest_singular
-from toepspec.matrixgen import circulant, jordan
+from toepspec.matrixgen import NoiseSpec, circulant, jordan, sample_noise
 from toepspec.pseudospec import (
     GridSpec,
     ScalarField,
@@ -58,15 +58,15 @@ class TestSminField:
         for e1, e2 in ((0.1, 0.5), (0.5, 1.0)):
             assert not np.any((field.values < e1) & ~(field.values < e2))
 
-    def test_thread_count_does_not_change_values(self, monkeypatch):
-        rng = np.random.default_rng(81)
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        g = GridSpec(-1, 1, -1, 1, 13, 13)
-        monkeypatch.setenv("TOEPSPEC_THREADS", "1")
-        one = smin_field(m, g)
-        monkeypatch.setenv("TOEPSPEC_THREADS", "4")
-        four = smin_field(m, g)
-        np.testing.assert_array_equal(one.values, four.values)
+    def test_non_normal_field_matches_direct_svd(self):
+        # n = 30 > 24 takes the inverse-iteration branch of smallest_singular
+        n = 30
+        m = jordan(n) + n**-2.0 * sample_noise(NoiseSpec(), n, 83)
+        g = GridSpec(-1.5, 1.5, -1.5, 1.5, 9, 9)
+        field = smin_field(m, g)
+        zs = [complex(re, im) for im in g.ims() for re in g.res()]
+        direct = np.array([np.linalg.svd(z * np.eye(n) - m, compute_uv=False)[-1] for z in zs])
+        assert np.max(np.abs(field.values - direct) / direct) <= 1e-8
 
     def test_jordan_interior_lower_bound(self):
         # the rank-one corner perturbation reaches radius r, so s_min at

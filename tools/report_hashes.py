@@ -1,0 +1,104 @@
+"""Hash the reports and artifacts of a fixed set of `toepspec run` configs.
+
+Usage (from the repository root):
+
+    python tools/report_hashes.py WORK_DIR [--src SRC_DIR] > hashes.json
+
+The set is every scenario at a small size plus the first rotation of each
+benchmark workload at --seed 1.  Each config runs in-process through
+`toepspec.cli.main` with a relative out-dir under WORK_DIR, so the artifact
+paths inside the reports do not depend on WORK_DIR.  The output maps each
+config to its exit code and the sha256 prefix of every file it wrote.  Run
+it on two checkouts (`--src` picks the package source) and diff the two
+outputs to see which reports a change touched.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+EXP = {"kind": "exp", "r": 0.5}
+GRID = {"re_min": -2, "re_max": 2, "im_min": -2, "im_max": 2}
+
+
+def _cfg(scenario, symbol="-1:1", n=40, pert=None, trials=2, **params):
+    return {
+        "scenario": scenario,
+        "symbol": symbol,
+        "n": n,
+        "pert": pert or {"kind": "poly", "gamma": 2},
+        "noise": "complex_gaussian",
+        "trials": trials,
+        "seed": 7,
+        "params": params,
+    }
+
+
+def configs() -> dict:
+    out = {
+        "lsd_subexp": _cfg("lsd_subexp", n=60),
+        "lsd_exp": _cfg("lsd_exp", pert=EXP, check_radius=True, probe_count=4),
+        "lsd_exp_2sided": _cfg("lsd_exp", symbol="-1:0.1;1:1", n=30, pert=EXP, probe_count=4),
+        "lsd_superexp": _cfg(
+            "lsd_superexp", symbol="-1:0.5;1:1", pert={"kind": "superexp", "c": 1.0}, probe_count=4
+        ),
+        "macro": _cfg("macro", n=30, pert={"kind": "macro", "sigma": 0.5}),
+        "no_outlier": _cfg("no_outlier"),
+        "outlier_count": _cfg("outlier_count"),
+        "pairing": _cfg("pairing", n=64, pert={"kind": "poly", "gamma": 1}),
+        "radius_law": _cfg("radius_law", n=60),
+        "eigvec_bulk": _cfg("eigvec_bulk", n=80, trials=1),
+        "eigvec_outlier": _cfg("eigvec_outlier", n=40, trials=3),
+        "grushin": _cfg("grushin", symbol="-1:1;1:1", n=60, pert={"kind": "poly", "gamma": 3}, trials=3),
+        "pseudospec_map": _cfg("pseudospec_map", n=30, trials=1, grid={**GRID, "nx": 9, "ny": 7}),
+        "pseudospec_circ": _cfg(
+            "pseudospec_map", n=8, trials=1, matrix="circulant", oracle=True,
+            grid={**GRID, "nx": 21, "ny": 21}, levels=[0.1, 0.3],
+        ),
+        "pseudospec_toep": _cfg("pseudospec_map", n=30, trials=1, matrix="toeplitz", grid={**GRID, "nx": 7, "ny": 7}),
+        # eigenvector scenarios under r^n noise on a one-sided symbol (scaled solve)
+        "eigvec_outlier_exp": _cfg("eigvec_outlier", n=100, pert=EXP, trials=2, stop_after_found=3),
+        "eigvec_bulk_exp": _cfg("eigvec_bulk", n=100, pert=EXP, trials=1),
+    }
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    for w in sorted(workloads.WORKLOADS):
+        for i, cfg in enumerate(workloads.rotation(w, 1)):
+            out[f"bench_{w}_{i}"] = cfg
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("work_dir")
+    ap.add_argument("--src", default=str(ROOT / "src"))
+    args = ap.parse_args()
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from toepspec import cli
+
+    todo = configs()
+    work = Path(args.work_dir)
+    work.mkdir(parents=True, exist_ok=True)
+    os.chdir(work)
+    out = {}
+    for name, cfg in todo.items():
+        Path(f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", f"{name}.json", "--out-dir", f"out/{name}"])
+        files = sorted(Path("out", name).glob("*")) if code == 0 else []
+        out[name] = {"exit": code, **{f.name: hashlib.sha256(f.read_bytes()).hexdigest()[:16] for f in files}}
+    print(json.dumps(out, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
