@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,6 +68,31 @@ def _typed(name: str, value, default):
     if not ok:
         raise ConfigError(f"{name} must be {want}, got {value!r}")
     return value
+
+
+def _valid_grid(g: dict) -> bool:
+    try:
+        pseudospec.GridSpec(**g)
+    except ToepspecError:
+        return False
+    return True
+
+
+# param -> (predicate on its typed value, what the value must be): the ranges
+# that the kernels would otherwise reject mid-run, or not at all
+_RANGES = {
+    "quadrature_n": (lambda q: q >= 256, "at least 256"),
+    "c_band": (lambda c: c > 0, "positive"),
+    "supp_mu1": (lambda mu: 0 < mu < 1, "in (0, 1)"),
+    "p": (lambda p: p >= 1, "at least 1"),
+    "z": (lambda z: len(z) == 2, "[re, im]"),
+    "alpha": (lambda a: a is None or a > 0, "positive"),
+    "grid": (
+        _valid_grid,
+        f"a box with re_min < re_max, im_min < im_max and nx, ny >= 2, nx * ny <= {pseudospec.MAX_GRID_NODES}",
+    ),
+    "levels": (lambda ls: ls and min(ls) > 0 and len(set(ls)) == len(ls), "distinct positive numbers"),
+}
 
 
 @dataclass(frozen=True)
@@ -338,14 +364,15 @@ def _write_eigs_artifacts(ens: TrialEnsemble, out_dir: Path) -> list[str]:
     return [str(csv_path), str(csv_path) + ".meta.json", str(svg_path)]
 
 
-def _dist_to_spectrum_of_limit_operator(sym: LaurentSymbol, lam: complex, quadrature_n: int) -> float:
-    """Distance to (symbol curve) union (points of nonzero winding)."""
-    try:
-        if winding_number(sym, lam) != 0:
-            return 0.0
-    except OnCurveError:
-        return 0.0
-    return float(measures.dist_to_curve([lam], sym, quadrature_n)[0])
+def _windings(sym: LaurentSymbol, eigs) -> list[int | None]:
+    """The symbol curve's winding number around each eigenvalue; None on the curve."""
+    out = []
+    for lam in eigs:
+        try:
+            out.append(winding_number(sym, complex(lam)))
+        except OnCurveError:
+            out.append(None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -511,14 +538,13 @@ def _run_macro(ens: TrialEnsemble, params: dict, out_dir):
 )
 def _run_no_outlier(ens: TrialEnsemble, params: dict, out_dir):
     eps = params["eps"]
-    qn = params["quadrature_n"]
-    dists = [
-        _dist_to_spectrum_of_limit_operator(ens.sym, complex(lam), qn)
-        for eigs in ens.eigenvalues
-        for lam in eigs
-    ]
-    violations = sum(d > eps for d in dists)
-    metrics = {"violations": violations, "max_dist": max(0.0, *dists), "eps": eps}
+    eigs = np.concatenate(ens.eigenvalues)
+    # the limit operator's spectrum is the curve plus every point of nonzero
+    # winding, so only winding-0 eigenvalues lie at a positive distance from it
+    off = eigs[[w == 0 for w in _windings(ens.sym, eigs)]]
+    dists = measures.dist_to_curve(off, ens.sym, params["quadrature_n"])
+    violations = int(np.sum(dists > eps))
+    metrics = {"violations": violations, "max_dist": float(np.max(dists, initial=0.0)), "eps": eps}
     passed = {"no_outliers": violations == 0}
     return metrics, passed, []
 
@@ -531,20 +557,10 @@ def _run_no_outlier(ens: TrialEnsemble, params: dict, out_dir):
 )
 def _run_outlier_count(ens: TrialEnsemble, params: dict, out_dir):
     margin = params["margin"]
-    trial_dicts: list[dict[str, int]] = []
+    trial_dicts = []
     for eigs in ens.eigenvalues:
-        dists = measures.dist_to_curve(eigs, ens.sym, params["quadrature_n"])
-        trial_counts: dict[str, int] = {}
-        for lam, d in zip(eigs, dists):
-            if d <= margin:
-                continue
-            try:
-                w = winding_number(ens.sym, complex(lam))
-            except OnCurveError:
-                continue
-            key = str(w)
-            trial_counts[key] = trial_counts.get(key, 0) + 1
-        trial_dicts.append(trial_counts)
+        far = eigs[measures.dist_to_curve(eigs, ens.sym, params["quadrature_n"]) > margin]
+        trial_dicts.append(Counter(str(w) for w in _windings(ens.sym, far) if w is not None))
     keys = sorted(set().union(*trial_dicts))
     mean_counts = {k: float(np.mean([d.get(k, 0) for d in trial_dicts])) for k in keys}
     metrics = {"mean_counts_by_winding": mean_counts, "margin": margin}
@@ -601,17 +617,12 @@ def _localization_rows(ens: TrialEnsemble, band_lo, band_hi, qn, mu1):
     for t in range(ens.cfg.trials):
         eigs = ens.eigs(t)
         dists = measures.dist_to_curve(eigs, ens.sym, qn)
-        for idx in np.lexsort((eigs.imag, eigs.real)):
+        in_band = [i for i in np.lexsort((eigs.imag, eigs.real)) if band_lo <= dists[i] <= band_hi]
+        for idx, w in zip(in_band, _windings(ens.sym, eigs[in_band])):
+            if not w:  # on the curve (None) or winding 0
+                continue
             lam = complex(eigs[idx])
             d_curve = float(dists[idx])
-            if not band_lo <= d_curve <= band_hi:
-                continue
-            try:
-                w = winding_number(ens.sym, lam)
-            except OnCurveError:
-                continue
-            if w == 0:
-                continue
             try:
                 v = ens.eigenvector(t, lam)
             except ToepspecError:
@@ -648,6 +659,8 @@ def _localization_rows(ens: TrialEnsemble, band_lo, band_hi, qn, mu1):
 )
 def _run_eigvec_bulk(ens: TrialEnsemble, params: dict, out_dir):
     n = ens.cfg.n
+    if n < 2:
+        raise ConfigError("eigvec_bulk needs n >= 2: its band and localization length scale with log n")
     band_hi = params["c_band"] * math.log(n) / n
     band_lo = math.log(n) / (params["c_band"] * n)
     loc_len = params["loc_mult"] * n / math.log(n)
@@ -718,8 +731,6 @@ def _run_eigvec_outlier(ens: TrialEnsemble, params: dict, out_dir):
 )
 def _run_grushin(ens: TrialEnsemble, params: dict, out_dir):
     cfg = ens.cfg
-    if len(params["z"]) != 2:
-        raise ConfigError("param z must be [re, im]")
     z = complex(params["z"][0], params["z"][1])
     alpha = params["alpha"] if params["alpha"] is not None else 1.0 / cfg.n
     delta = cfg.pert.coupling(cfg.n)
@@ -813,6 +824,10 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         raise ConfigError(f"unknown params for {config.scenario}: {sorted(unknown)}")
     params = dict(sc.defaults)
     params.update({k: _typed(f"param {k}", v, sc.defaults[k]) for k, v in config.params.items()})
+    for name in sorted(params.keys() & _RANGES):
+        ok, want = _RANGES[name]
+        if not ok(params[name]):
+            raise ConfigError(f"param {name} must be {want}, got {params[name]!r}")
     if sc.pert_kind is not None and config.pert.kind != sc.pert_kind:
         raise ConfigError(f"{config.scenario} needs a {sc.pert_kind!r} perturbation")
     ens = TrialEnsemble(config)

@@ -23,6 +23,7 @@ from .errors import (
     BadPointError,
     EmptyDataError,
     LambdaSetError,
+    NonFiniteError,
     OnCurveError,
     ShapeError,
     SizeLimitError,
@@ -194,7 +195,10 @@ def match_cost(points, targets, p: float = 2.0) -> float:
         raise SizeLimitError(f"assignment capped at {MATCH_MAX_POINTS} points")
     if p < 1:
         raise ShapeError("p must be >= 1")
-    cost = np.abs(pts[:, None] - tgt[None, :]) ** p
+    with np.errstate(over="ignore"):
+        cost = np.abs(pts[:, None] - tgt[None, :]) ** p
+    if not np.all(np.isfinite(cost)):
+        raise NonFiniteError(f"the |.|^{p} costs overflow")
     rows, cols = linear_sum_assignment(cost)
     return float(np.mean(cost[rows, cols]) ** (1.0 / p))
 
@@ -202,49 +206,58 @@ def match_cost(points, targets, p: float = 2.0) -> float:
 def dist_to_curve(points, symbol: LaurentSymbol, quadrature_n: int = 1024) -> np.ndarray:
     """Distance of each point to the symbol curve a(S^1).
 
-    Coarse minimum over quadrature_n samples, then a golden-section refinement
-    of the angle in the bracketing arc.
+    The distance is sampled at quadrature_n angles.  Every sampled local
+    minimum that could still hide the global one (the distance moves at most
+    sum |k a_k| per radian) is refined by golden section over its bracketing
+    arc, and the least value is kept.  All points and candidates run at once.
     """
     if quadrature_n < 256:
         raise ShapeError("need at least 256 quadrature points")
     pts = np.asarray(points, dtype=complex).ravel()
+    if len(pts) == 0:
+        return np.zeros(0)
     samples = curve_samples(symbol, quadrature_n)
     thetas = 2 * np.pi * np.arange(quadrature_n) / quadrature_n
-    out = np.empty(len(pts), dtype=float)
+    h = 2 * np.pi / quadrature_n
+    slack = h * sum(abs(k * c) for k, c in symbol.coeffs.items())
+    # the coarse search in blocks of points: no (points x samples) array above 4 MB
+    block = max(1, (1 << 18) // quadrature_n)
+    found = []
+    for s in range(0, len(pts), block):
+        d = np.abs(samples[None, :] - pts[s : s + block, None])
+        local_min = (d <= np.roll(d, 1, axis=1)) & (d <= np.roll(d, -1, axis=1))
+        rows, ks = np.nonzero(local_min & (d <= d.min(axis=1, keepdims=True) + slack))
+        found.append((s + rows, ks, d[rows, ks]))
+    owner, k, coarse = (np.concatenate(parts) for parts in zip(*found))
+    p = pts[owner]
+
+    def f(theta):
+        return np.abs(evaluate(symbol, np.cos(theta) + 1j * np.sin(theta)) - p)
+
     gr = (math.sqrt(5) - 1) / 2
-    for idx, p in enumerate(pts):
-        dists = np.abs(samples - p)
-        k = int(np.argmin(dists))
-        lo = thetas[k] - 2 * np.pi / quadrature_n
-        hi = thetas[k] + 2 * np.pi / quadrature_n
-
-        def f(theta: float) -> float:
-            return abs(evaluate(symbol, complex(math.cos(theta), math.sin(theta))) - p)
-
-        a, b = lo, hi
-        c = b - gr * (b - a)
-        d = a + gr * (b - a)
-        fc, fd = f(c), f(d)
-        for _ in range(60):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - gr * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + gr * (b - a)
-                fd = f(d)
-        out[idx] = min(fc, fd, float(dists[k]))
+    a, b = thetas[k] - h, thetas[k] + h
+    c = b - gr * (b - a)
+    d = a + gr * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(60):
+        # keep [a, d] where f(c) < f(d), else [c, b]; the kept inner point is reused
+        left = fc < fd
+        kept, fkept = np.where(left, c, d), np.where(left, fc, fd)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - gr * (b - a), a + gr * (b - a))
+        fnew = f(new)
+        c, fc = np.where(left, new, kept), np.where(left, fnew, fkept)
+        d, fd = np.where(left, kept, new), np.where(left, fkept, fnew)
+    out = np.full(len(pts), np.inf)
+    np.minimum.at(out, owner, np.minimum(np.minimum(fc, fd), coarse))
     return out
 
 
 def write_sample_csv(sample: SpectralSample, path) -> None:
     """Write points as `re,im` rows plus a JSON sidecar `<path>.meta.json`."""
     path = Path(path)
-    lines = ["re,im"]
-    for p in sample.points:
-        lines.append(f"{float(p.real)!r},{float(p.imag)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [f"{float(p.real)!r},{float(p.imag)!r}" for p in sample.points]
+    path.write_text("\n".join(["re,im", *rows]) + "\n", encoding="utf-8")
     sidecar = path.with_name(path.name + ".meta.json")
     sidecar.write_text(json.dumps(sample.meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 

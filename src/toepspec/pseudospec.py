@@ -78,49 +78,19 @@ def smin_field(m: np.ndarray, grid: GridSpec) -> ScalarField:
     return ScalarField(grid=grid, values=np.array([smallest_singular(z * eye - m) for z in zs]))
 
 
-def _interp(p0, p1, v0, v1, level):
-    t = 0.5 if v1 == v0 else (level - v0) / (v1 - v0)
-    t = min(max(t, 0.0), 1.0)
-    return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
-
-
-def _cell_segments(corners, values, level):
-    """Marching-squares segments for one cell; saddles resolved by the cell average."""
-    idx = 0
-    for v in values:
-        idx = (idx << 1) | (1 if v >= level else 0)
-    edges = {
-        "top": (0, 1),
-        "right": (1, 2),
-        "bottom": (2, 3),
-        "left": (3, 0),
-    }
-
-    def pt(edge):
-        a, b = edges[edge]
-        return _interp(corners[a], corners[b], values[a], values[b], level)
-
-    # a cell and its complement cross the same edges: key on the smaller index
-    table = {
-        0b0000: [],
-        0b0111: [("left", "top")],
-        0b0100: [("top", "right")],
-        0b0010: [("right", "bottom")],
-        0b0001: [("bottom", "left")],
-        0b0011: [("left", "right")],
-        0b0110: [("top", "bottom")],
-    }
-    key = min(idx, 0b1111 ^ idx)
-    if key in table:
-        return [(pt(a), pt(b)) for a, b in table[key]]
-    # saddle cells 0101 / 1010: connect according to the cell average
-    avg_above = (sum(values) / 4.0) >= level
-    if idx == 0b1010:
-        # corners 0 and 2 above: isolate 1 and 3 when the center joins them
-        pairs = [("top", "right"), ("bottom", "left")] if avg_above else [("left", "top"), ("right", "bottom")]
-    else:
-        pairs = [("left", "top"), ("right", "bottom")] if avg_above else [("top", "right"), ("bottom", "left")]
-    return [(pt(a), pt(b)) for a, b in pairs]
+# marching squares: the segments of a cell as pairs of its edges, numbered
+# 0 = corners (0, 1), 1 = (1, 2), 2 = (2, 3), 3 = (3, 0), with corner 0 at
+# (re_i, im_j) and the corners counterclockwise; the cell index has corner
+# 0's bit highest.  A cell and its complement cross the same edges, so the
+# table keys on the smaller index; the saddles 0101 / 1010 are resolved below.
+_CELL_EDGES = {
+    0b0111: ((3, 0),),
+    0b0100: ((0, 1),),
+    0b0010: ((1, 2),),
+    0b0001: ((2, 3),),
+    0b0011: ((3, 1),),
+    0b0110: ((0, 2),),
+}
 
 
 def contour_lines(field: ScalarField, levels) -> list[list[list[tuple[float, float]]]]:
@@ -128,92 +98,93 @@ def contour_lines(field: ScalarField, levels) -> list[list[list[tuple[float, flo
 
     Returns one list of polylines per requested level; a level outside the
     field range yields an empty list.  Levels must be sorted ascending.
+
+    A node counts as above the level when its value is >= the level, and
+    each crossed grid edge gets one vertex, linear in the two node values.  A
+    saddle cell (diagonal corners above) joins its above corners through the
+    center when the mean of its four values is >= the level.  Segments chain
+    through the edge they share, so a closed line ends on its first vertex;
+    a line through a node whose value equals the level may chain differently
+    than a chaining by coordinates would.
     """
     levels = list(levels)
     if any(l2 <= l1 for l1, l2 in zip(levels, levels[1:])):
         raise ShapeError("levels must be sorted strictly ascending")
     if any(l <= 0 for l in levels):
         raise ShapeError("levels must be positive")
-    vals = field.as_matrix()
-    res = field.grid.res()
-    ims = field.grid.ims()
-    eps_key = field.grid.pitch() * 1e-9
+    v = field.as_matrix()
+    x, y = np.meshgrid(field.grid.res(), field.grid.ims())  # shaped like v
+    nx, ny = field.grid.nx, field.grid.ny
+    n_row_edges = ny * (nx - 1)  # edge ids: the edges along rows, then along columns
+    corner_sum = ((v[:-1, :-1] + v[:-1, 1:]) + v[1:, 1:]) + v[1:, :-1]
     out = []
     for level in levels:
+        above = v >= level
+        # one vertex per grid edge, interpolated from its node of lower index
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_row = (level - v[:, :-1]) / (v[:, 1:] - v[:, :-1])
+            t_col = (level - v[:-1]) / (v[1:] - v[:-1])
+        xs = np.concatenate([(x[:, :-1] + t_row * (x[:, 1:] - x[:, :-1])).ravel(), x[:-1].ravel()])
+        ys = np.concatenate([y[:, :-1].ravel(), (y[:-1] + t_col * (y[1:] - y[:-1])).ravel()])
+        cell = (above[:-1, :-1] << 3) | (above[:-1, 1:] << 2) | (above[1:, 1:] << 1) | above[1:, :-1]
+        saddle_up = corner_sum / 4.0 >= level
         segments = []
-        for j in range(field.grid.ny - 1):
-            for i in range(field.grid.nx - 1):
-                corners = [
-                    (res[i], ims[j]),
-                    (res[i + 1], ims[j]),
-                    (res[i + 1], ims[j + 1]),
-                    (res[i], ims[j + 1]),
-                ]
-                cvals = [vals[j, i], vals[j, i + 1], vals[j + 1, i + 1], vals[j + 1, i]]
-                segments.extend(_cell_segments(corners, cvals, level))
-        out.append(_chain_segments(segments, eps_key))
+        for c in np.flatnonzero((cell != 0) & (cell != 0b1111)):
+            j, i = divmod(int(c), nx - 1)
+            row, col = j * (nx - 1) + i, n_row_edges + j * nx + i
+            edges = (row, col + 1, row + nx - 1, col)
+            idx = int(cell.flat[c])
+            pairs = _CELL_EDGES.get(min(idx, 0b1111 ^ idx))
+            if pairs is None:  # a saddle: corners 0 and 2 above in 1010
+                pairs = ((0, 1), (2, 3)) if (idx == 0b1010) == saddle_up.flat[c] else ((3, 0), (1, 2))
+            segments.extend((edges[a], edges[b]) for a, b in pairs)
+        out.append([[(float(xs[e]), float(ys[e])) for e in chain] for chain in _chain_segments(segments)])
     return out
 
 
-def _chain_segments(segments, eps):
-    """Join segments that share endpoints into open or closed polylines."""
-
-    def key(p):
-        return (round(p[0] / eps), round(p[1] / eps))
-
-    adjacency: dict = {}
-    for sidx, (a, b) in enumerate(segments):
-        adjacency.setdefault(key(a), []).append((sidx, 0))
-        adjacency.setdefault(key(b), []).append((sidx, 1))
+def _chain_segments(segments) -> list[list[int]]:
+    """Join segments (pairs of edge ids) that share an edge into open or closed chains."""
+    at_edge: dict[int, list[int]] = {}
+    for sidx, pair in enumerate(segments):
+        for e in pair:
+            at_edge.setdefault(e, []).append(sidx)
     used = [False] * len(segments)
-    polylines = []
-    for start in range(len(segments)):
+    chains = []
+    for start, (a, b) in enumerate(segments):
         if used[start]:
             continue
         used[start] = True
-        a, b = segments[start]
-        chain = [a, b]
         # extend forward from the tail, then backward from the head
-        for endpoint, append in ((b, True), (a, False)):
-            current = endpoint
-            while True:
-                candidates = [
-                    (sidx, side)
-                    for sidx, side in adjacency.get(key(current), [])
-                    if not used[sidx]
-                ]
-                if not candidates:
-                    break
-                sidx, side = candidates[0]
-                used[sidx] = True
-                nxt = segments[sidx][1 - side]
-                if append:
-                    chain.append(nxt)
-                else:
-                    chain.insert(0, nxt)
-                current = nxt
-        polylines.append(chain)
-    return polylines
+        ends = []
+        for e in (b, a):
+            grown = [e]
+            while (nxt := next((s for s in at_edge[e] if not used[s]), None)) is not None:
+                used[nxt] = True
+                e0, e1 = segments[nxt]
+                e = e1 if e == e0 else e0
+                grown.append(e)
+            ends.append(grown)
+        chains.append(ends[1][::-1] + ends[0])
+    return chains
 
 
 def write_contour_svg(field: ScalarField, levels, path, title: str) -> None:
-    """The level lines of the field at the ascending levels, as an SVG figure."""
+    """The level lines of the field at the ascending levels, as an SVG figure.
+
+    Levels that miss the field draw no line; with no line at all the figure
+    is the empty grid box.
+    """
     lines = [(lv, poly) for lv, polys in zip(levels, contour_lines(field, levels)) for poly in polys]
-    Path(path).write_text(render_svg("contour", {"lines": lines}, {"title": title}), encoding="utf-8")
+    g = field.grid
+    data = {"lines": lines, "box": (g.re_min, g.re_max, g.im_min, g.im_max)}
+    Path(path).write_text(render_svg("contour", data, {"title": title}), encoding="utf-8")
 
 
 def write_field_csv(field: ScalarField, path) -> None:
     """Rows `re,im,smin` in row-major node order."""
-    res = field.grid.res()
-    ims = field.grid.ims()
-    lines = ["re,im,smin"]
-    vals = field.values
-    for j in range(field.grid.ny):
-        for i in range(field.grid.nx):
-            lines.append(
-                f"{float(res[i])!r},{float(ims[j])!r},{float(vals[j * field.grid.nx + i])!r}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    x, y = np.meshgrid(field.grid.res(), field.grid.ims())
+    rows = [f"{float(a)!r},{float(b)!r},{float(v)!r}" for a, b, v in zip(x.ravel(), y.ravel(), field.values)]
+    Path(path).write_text("\n".join(["re,im,smin", *rows]) + "\n", encoding="utf-8")
 
 
 def read_field_csv(path) -> ScalarField:
@@ -221,16 +192,10 @@ def read_field_csv(path) -> ScalarField:
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not lines or lines[0] != "re,im,smin":
         raise ShapeError(f"{path} is not a field CSV")
-    res_vals, im_vals, smin = [], [], []
-    for line in lines[1:]:
-        a, b, c = line.split(",")
-        res_vals.append(float(a))
-        im_vals.append(float(b))
-        smin.append(float(c))
-    res = sorted(set(res_vals))
-    ims = sorted(set(im_vals))
+    re_col, im_col, smin = np.array([[float(t) for t in line.split(",")] for line in lines[1:]]).T
+    res, ims = np.unique(re_col), np.unique(im_col)
     grid = GridSpec(
-        re_min=res[0], re_max=res[-1], im_min=ims[0], im_max=ims[-1],
+        re_min=float(res[0]), re_max=float(res[-1]), im_min=float(ims[0]), im_max=float(ims[-1]),
         nx=len(res), ny=len(ims),
     )
-    return ScalarField(grid=grid, values=np.asarray(smin))
+    return ScalarField(grid=grid, values=smin)

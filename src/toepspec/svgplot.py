@@ -170,13 +170,13 @@ def _render_scatter(data: dict, style: dict) -> str:
 
 
 def _render_contour(data: dict, style: dict) -> str:
-    """data: lines = [(level, polyline)], each polyline a list of (x, y); optional points."""
+    """data: lines = [(level, polyline)], each polyline a list of (x, y); optional points;
+    optional box = (x_min, x_max, y_min, y_max), the extent drawn when there are neither."""
     lines = data.get("lines", [])
     points = _as_xy(data.get("points", []))
-    if not lines and not points:
-        raise EmptyDataError("contour needs lines or points")
-    xs = [p[0] for _, poly in lines for p in poly] + [p[0] for p in points]
-    ys = [p[1] for _, poly in lines for p in poly] + [p[1] for p in points]
+    box = data.get("box", ())
+    xs = [p[0] for _, poly in lines for p in poly] + [p[0] for p in points] or list(box[:2])
+    ys = [p[1] for _, poly in lines for p in poly] + [p[1] for p in points] or list(box[2:])
     frame = _Frame(xs, ys)
     body = frame.axes(style.get("xlabel", "Re"), style.get("ylabel", "Im"), style.get("title", ""))
     for level, poly in lines:

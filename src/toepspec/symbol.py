@@ -136,11 +136,19 @@ def format_symbol(symbol: LaurentSymbol) -> str:
     return ";".join(terms)
 
 
-def evaluate(symbol: LaurentSymbol, zeta: complex) -> complex:
-    """Evaluate a(zeta).  zeta = 0 is outside the domain of a Laurent polynomial."""
-    if zeta == 0:
+def evaluate(symbol: LaurentSymbol, zeta):
+    """a(zeta) at a point, or elementwise over an array of points.
+
+    zeta = 0 is outside the domain of a Laurent polynomial.  The terms are
+    summed in coefficient order, the order :func:`curve_samples` relies on.
+    """
+    zeta = np.asarray(zeta, dtype=complex)
+    if np.any(zeta == 0):
         raise DomainError("Laurent symbol cannot be evaluated at zeta = 0")
-    return sum(c * zeta**k for k, c in symbol.coeffs.items())
+    out = np.zeros(zeta.shape, dtype=complex)
+    for k, c in symbol.coeffs.items():
+        out += c * zeta**k
+    return out if out.ndim else complex(out)
 
 
 def curve_samples(symbol: LaurentSymbol, n: int, radius: float = 1.0) -> np.ndarray:
@@ -149,11 +157,7 @@ def curve_samples(symbol: LaurentSymbol, n: int, radius: float = 1.0) -> np.ndar
         raise DomainError("need at least one sample point")
     if radius <= 0:
         raise DomainError("radius must be positive")
-    zeta = radius * np.exp(2j * np.pi * np.arange(n) / n)
-    out = np.zeros(n, dtype=complex)
-    for k, c in symbol.coeffs.items():
-        out += c * zeta**k
-    return out
+    return evaluate(symbol, radius * np.exp(2j * np.pi * np.arange(n) / n))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ D = diag(r^i) (diagonal balancing), in which the corner noise is O(r) and
 the spectrum is resolved.  The limit law concerns the empirical measure, and
 a perturbed Jordan block keeps a few genuine interior eigenvalues whose
 expected number does not grow with N, so 7a asks for at least 90% of the
-eigenvalues of every trial inside the band, not for the farthest one.
+eigenvalues of every trial inside the band, not for the farthest one, and
+checks that at most 2 of the 200 per trial lie outside it.
 """
 
 import json
@@ -194,13 +195,15 @@ def test_c07a_exponential_lsd_monomial_radius():
         params={"check_radius": True, "probe_count": 4},
     )
     report = run(cfg)
+    # the number of genuine interior eigenvalues does not grow with N: at most
+    # 2 of the 200 per trial (the measured worst is 1)
+    outside = [round((1.0 - f) * cfg.n) for f in report.metrics["radius_band_fractions"]]
     check(
         "7a",
-        "at least 90% of eigenvalue radii within 5 log N / N of 0.5 in every trial at N=200 "
-        f"(min in-band fraction {report.metrics['radius_band_fraction_min']:.3f}, "
-        f"{report.metrics['radius_outside']} eigenvalues outside the band "
-        f"{report.metrics['radius_band']:.3f})",
-        report.passed["radius_band"],
+        "at least 90% of eigenvalue radii, and all but at most 2, within 5 log N / N of 0.5 "
+        f"in every trial at N=200 (min in-band fraction {report.metrics['radius_band_fraction_min']:.3f}, "
+        f"outside the band {report.metrics['radius_band']:.3f} per trial: {outside})",
+        report.passed["radius_band"] and max(outside) <= 2,
     )
 
 

@@ -86,6 +86,13 @@ class TestPseudospectrumCommand:
         assert out.read_text().startswith("re,im,smin\n")
         assert "data-level" in plot.read_text()
 
+    def test_level_above_the_field_draws_the_empty_box(self, tmp_path):
+        plot = tmp_path / "c.svg"
+        args = ["pseudospectrum", "--symbol", "-1:1", "--n", "8", "--nx", "5", "--ny", "5"]
+        assert main([*args, "--levels", "50", "--plot", str(plot)]) == 0
+        svg = plot.read_text()
+        assert svg.startswith("<?xml") and "data-level" not in svg
+
 
 class TestRunCommand:
     def test_runs_config_and_writes_report(self, tmp_path):
@@ -106,6 +113,20 @@ class TestRunCommand:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["scenario"] == "pairing"
         assert "match_cost" in report["pass"]
+
+    def test_levels_above_the_field_still_write_the_report(self, tmp_path):
+        config = {
+            **_TWO_SIDED,
+            "scenario": "pseudospec_map",
+            "params": {"grid": _GRID, "levels": [50.0, 100.0]},
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "results"
+        assert main(["run", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["pass"] == {"nesting": True, "normal_oracle": True}
+        assert "data-level" not in (out_dir / "contours.svg").read_text()
 
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
@@ -131,6 +152,11 @@ _TWO_SIDED = {
     "params": {},
 }
 _GRID_NO_NY = {"re_min": -1, "re_max": 1, "im_min": -1, "im_max": 1, "nx": 5}
+_GRID = {**_GRID_NO_NY, "ny": 4}
+
+
+def _params(scenario, **params):
+    return {"scenario": scenario, "params": params}
 
 
 @pytest.mark.parametrize(
@@ -141,8 +167,38 @@ _GRID_NO_NY = {"re_min": -1, "re_max": 1, "im_min": -1, "im_max": 1, "nx": 5}
         ({"scenario": "pseudospec_map", "params": {"grid": _GRID_NO_NY}}, 1, "grid"),
         ({"scenario": "macro", "pert": {"kind": "macro", "sigma": 1e308}}, 2, "mean_abs2"),
         ({"scenario": "pairing", "n": 20.7}, 1, "n must be a positive integer"),
+        (_params("lsd_subexp", quadrature_n=10), 1, "param quadrature_n"),
+        (_params("no_outlier", quadrature_n=10), 1, "param quadrature_n"),
+        (_params("pseudospec_map", grid=_GRID, levels=[-1.0, 0.1]), 1, "param levels"),
+        (_params("pseudospec_map", grid=_GRID, levels=[0.1, 0.1]), 1, "param levels"),
+        (_params("pseudospec_map", grid=_GRID, levels=[]), 1, "param levels"),
+        (_params("pseudospec_map", grid={**_GRID, "re_min": 2}), 1, "param grid"),
+        (_params("pseudospec_map", grid={**_GRID, "nx": 1}), 1, "param grid"),
+        (_params("pseudospec_map", grid={**_GRID, "nx": 2001, "ny": 2000}), 1, "param grid"),
+        (_params("eigvec_bulk", supp_mu1=1.5), 1, "param supp_mu1"),
+        (_params("pairing", p=0.5), 1, "param p"),
+        (_params("grushin", alpha=-1), 1, "param alpha"),
+        ({"scenario": "eigvec_bulk", "n": 1}, 1, "n >= 2"),
     ],
-    ids=["string_int_param", "string_pert_field", "grid_without_ny", "overflowing_metric", "fractional_n"],
+    ids=[
+        "string_int_param",
+        "string_pert_field",
+        "grid_without_ny",
+        "overflowing_metric",
+        "fractional_n",
+        "short_quadrature_lsd_subexp",
+        "short_quadrature_no_outlier",
+        "negative_level",
+        "duplicate_level",
+        "no_level",
+        "inverted_grid_bounds",
+        "one_grid_column",
+        "grid_over_node_guard",
+        "supp_mu1_above_one",
+        "pairing_p_below_one",
+        "negative_alpha",
+        "eigvec_bulk_n_one",
+    ],
 )
 def test_malformed_config_ends_in_one_line(tmp_path, capsys, patch, code, needle):
     cfg_path = tmp_path / "config.json"

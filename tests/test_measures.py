@@ -18,7 +18,7 @@ from toepspec.measures import (
     read_sample_csv,
     write_sample_csv,
 )
-from toepspec.symbol import parse_symbol, random_symbol
+from toepspec.symbol import curve_samples, evaluate, parse_symbol, random_symbol
 
 JORDAN = parse_symbol("-1:1")
 TRIDIAG = parse_symbol("-1:1;1:1")
@@ -253,6 +253,35 @@ class TestDistToCurve:
 
     def test_point_on_tridiagonal_segment(self):
         assert dist_to_curve([0.0], TRIDIAG, 1024)[0] <= 1e-9
+
+    def test_empty_input(self):
+        assert dist_to_curve([], JORDAN, 1024).shape == (0,)
+
+    def test_quadrature_floor(self):
+        with pytest.raises(ShapeError):
+            dist_to_curve([2.0], JORDAN, 255)
+
+    @staticmethod
+    def _dense_min(sym, p, m=1 << 16):
+        """min |a(e^{it}) - p| over m angles, then over m angles of the bracketing arc."""
+        t = 2 * np.pi * np.arange(m) / m
+        d = np.abs(evaluate(sym, np.exp(1j * t)) - p)
+        k = int(np.argmin(d))
+        fine = t[k] + 2 * np.pi / m * np.linspace(-1.0, 1.0, m)
+        return min(float(d[k]), float(np.min(np.abs(evaluate(sym, np.exp(1j * fine)) - p))))
+
+    def test_matches_dense_minimum_on_random_symbols(self):
+        # seed 11 draws a fast curve with a point whose nearest arc falls
+        # between two coarse samples that are both farther than another arc's
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            sym = random_symbol(rng)
+            box = curve_samples(sym, 512)
+            pts = rng.uniform(box.real.min(), box.real.max(), 30) + 1j * rng.uniform(
+                box.imag.min(), box.imag.max(), 30
+            )
+            want = [self._dense_min(sym, p) for p in pts]
+            assert np.max(np.abs(dist_to_curve(pts, sym, 1024) - want)) <= 1e-8, seed
 
 
 class TestCsvRoundtrip:

@@ -110,6 +110,19 @@ class TestContours:
         dist = np.min(np.abs(zs[:, None] - spectrum[None, :]), axis=1)
         assert np.max(np.abs(dist - eps)) <= 2 * g.pitch()
 
+    def test_closed_lines_close_on_their_first_vertex(self):
+        g = GridSpec(-1.6, 1.6, -1.6, 1.6, 101, 101)
+        field = smin_field(circulant(JORDAN, 8), g)
+        res, ims, v = g.res(), g.ims(), field.as_matrix()
+        levels = [0.12, 0.5]  # 8 circles; an annulus with 2 boundary circles
+        for level, polys in zip(levels, contour_lines(field, levels)):
+            assert len(polys) >= 2 and all(poly[0] == poly[-1] for poly in polys)
+            for x, y in (p for poly in polys for p in poly):
+                # each vertex lies on a grid line: linear along it, the field is the level
+                on_row = np.flatnonzero(ims == y)
+                val = np.interp(x, res, v[on_row[0]]) if len(on_row) else np.interp(y, ims, v[:, res == x].ravel())
+                assert abs(val - level) <= 1e-12
+
     def test_unsorted_levels_rejected(self):
         g = GridSpec(-1, 1, -1, 1, 11, 11)
         field = ScalarField(grid=g, values=np.ones(121))

@@ -65,6 +65,18 @@ class TestEvaluate:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             evaluate(JORDAN, 0)
+        with pytest.raises(DomainError):
+            evaluate(JORDAN, np.array([1.0, 0.0]))
+
+    def test_array_matches_pointwise_sum(self):
+        # the scalar reference: the Laurent sum term by term in Python complex arithmetic
+        rng = np.random.default_rng(5)
+        zs = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        for sym in (JORDAN, TRIDIAG, FIG7):
+            vals = evaluate(sym, zs)
+            assert vals.shape == zs.shape and isinstance(evaluate(sym, complex(zs[0, 0])), complex)
+            ref = [[sum(c * complex(z) ** k for k, c in sym.coeffs.items()) for z in row] for row in zs]
+            np.testing.assert_allclose(vals, ref, rtol=1e-14, atol=0)
 
 
 class TestCurveSamples:
