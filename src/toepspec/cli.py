@@ -30,13 +30,28 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _positive_int(text: str) -> int:
+    """--n: a matrix size, positive like a config's n."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _numbers(text: str) -> list[float]:
+    """--levels: comma-separated numbers; their range is pseudospec_map's levels rule."""
+    try:
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated numbers, got {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="toepspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="eigenvalues of one noisy realization")
     sp.add_argument("--symbol", required=True, help='coefficients, e.g. "-1:1;1:1"')
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--pert", default="none", help="poly:<g> | exp:<r> | superexp:<c> | macro:<s> | none")
     sp.add_argument("--noise", default="complex_gaussian", choices=matrixgen.NOISE_KINDS)
     sp.add_argument("--seed", type=int, default=0)
@@ -45,7 +60,7 @@ def _build_parser() -> _Parser:
 
     ps = sub.add_parser("pseudospectrum", help="s_min field over a grid, with contours")
     ps.add_argument("--symbol", required=True)
-    ps.add_argument("--n", type=int, required=True)
+    ps.add_argument("--n", type=_positive_int, required=True)
     ps.add_argument("--matrix", default="toeplitz", choices=matrixgen.MATRIX_KINDS)
     ps.add_argument("--pert", default="none")
     ps.add_argument("--noise", default="complex_gaussian", choices=matrixgen.NOISE_KINDS)
@@ -56,7 +71,7 @@ def _build_parser() -> _Parser:
     ps.add_argument("--im-max", type=float, default=2.0)
     ps.add_argument("--nx", type=int, default=101)
     ps.add_argument("--ny", type=int, default=101)
-    ps.add_argument("--levels", default="0.01,0.1", help="comma-separated ascending levels")
+    ps.add_argument("--levels", type=_numbers, default="0.01,0.1", help="comma-separated positive levels")
     ps.add_argument("--out", help="field CSV path")
     ps.add_argument("--plot", help="contour SVG path")
 
@@ -96,20 +111,16 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_pseudospectrum(args) -> int:
+    sym = parse_symbol(args.symbol)
     pert = PerturbationSpec.parse(args.pert)
-    m = matrixgen.build_matrix(
-        args.matrix, parse_symbol(args.symbol), args.n, pert, NoiseSpec(args.noise), args.seed
+    # the grid flags and --levels are pseudospec_map's params, under its rules
+    grid_keys = ("re_min", "re_max", "im_min", "im_max", "nx", "ny")
+    params = experiments.check_params(
+        "pseudospec_map", {"grid": {k: getattr(args, k) for k in grid_keys}, "levels": args.levels}
     )
-    grid = pseudospec.GridSpec(
-        re_min=args.re_min,
-        re_max=args.re_max,
-        im_min=args.im_min,
-        im_max=args.im_max,
-        nx=args.nx,
-        ny=args.ny,
-    )
-    field = pseudospec.smin_field(m, grid)
-    levels = sorted(float(x) for x in args.levels.split(",") if x.strip())
+    m = matrixgen.build_matrix(args.matrix, sym, args.n, pert, NoiseSpec(args.noise), args.seed)
+    field = pseudospec.smin_field(m, pseudospec.GridSpec(**params["grid"]))
+    levels = sorted(params["levels"])
     if args.out:
         pseudospec.write_field_csv(field, args.out)
         print(f"wrote {args.out}")

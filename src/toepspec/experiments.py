@@ -36,6 +36,9 @@ from .symbol import (
 )
 
 _PROBE_STREAM = 0x70726F62  # distinct seed stream for probe-point placement
+_REGION_MAX_DRAWS = 60000  # draws before region probing gives up
+_DISCOVERY_FLOOR = 5000  # region probing samples this long so thin regions can show up
+_SUPPORT_MAX_DRAWS = 20000  # draws before off-support probing gives up
 
 
 _TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string"}
@@ -82,6 +85,10 @@ def _valid_grid(g: dict) -> bool:
 # that the kernels would otherwise reject mid-run, or not at all
 _RANGES = {
     "quadrature_n": (lambda q: q >= 256, "at least 256"),
+    "eps": (lambda e: e > 0, "positive"),
+    "margin": (lambda m: m >= 0, "non-negative"),
+    "probe_margin": (lambda m: m >= 0, "non-negative"),
+    "gap_margin": (lambda g: 0 <= g < 1, "in [0, 1)"),
     "c_band": (lambda c: c > 0, "positive"),
     "supp_mu1": (lambda mu: 0 < mu < 1, "in (0, 1)"),
     "p": (lambda p: p >= 1, "at least 1"),
@@ -270,30 +277,25 @@ def _probe_draws(sym: LaurentSymbol, radii, pad: float, seed: int):
 
 
 def _probe_points_regions(
-    sym: LaurentSymbol,
-    r: float,
-    count: int,
-    margin: float,
-    seed: int,
-    max_attempts: int = 60000,
+    sym: LaurentSymbol, r: float, count: int, margin: float, seed: int
 ) -> dict[str, list[complex]]:
     """Pseudo-random probe points per region, away from all separating curves.
 
     Only regions that collect the full count are kept; almost-every-point
     statements are then tested on generic points of each fat region.
     """
-    curves = [curve_samples(sym, 720, rad) for rad in (1.0, r, 1.0 / r)]
-    draws = _probe_draws(sym, (1.0, r, 1.0 / r), 2 * margin + 0.3, seed)
+    radii = (1.0, r, 1.0 / r)
+    curves = np.concatenate([curve_samples(sym, 720, rad) for rad in radii])
+    draws = _probe_draws(sym, radii, 2 * margin + 0.3, seed)
     buckets: dict[str, list[complex]] = {}
-    discovery_floor = 5000  # keep sampling this long so thin regions can show up
-    for attempt, z in zip(range(max_attempts), draws):
+    for attempt, z in zip(range(_REGION_MAX_DRAWS), draws):
         if (
-            attempt >= discovery_floor
+            attempt >= _DISCOVERY_FLOOR
             and buckets
             and all(len(b) >= count for b in buckets.values())
         ):
             break
-        if min(float(np.min(np.abs(c - z))) for c in curves) < margin:
+        if np.min(np.abs(curves - z)) < margin:
             continue
         try:
             key = classify_region(sym, z, r).key()
@@ -307,20 +309,14 @@ def _probe_points_regions(
     return {k: v for k, v in sorted(buckets.items()) if len(v) >= count}
 
 
-def _probe_points_off_support(
-    sym: LaurentSymbol,
-    count: int,
-    gap_margin: float,
-    seed: int,
-    max_attempts: int = 20000,
-) -> list[complex]:
+def _probe_points_off_support(sym: LaurentSymbol, count: int, gap_margin: float, seed: int) -> list[complex]:
     """Probe points with a fat relative gap between the split root moduli.
 
     The gap keeps the points off the limiting support set of the unperturbed
-    matrices, where the radius-rho quadrature is defined.
+    matrices, where their limit log-potential is defined.
     """
     out: list[complex] = []
-    for _, z in zip(range(max_attempts), _probe_draws(sym, (1.0,), 1.0, seed)):
+    for _, z in zip(range(_SUPPORT_MAX_DRAWS), _probe_draws(sym, (1.0,), 1.0, seed)):
         if len(out) >= count:
             break
         hi, lo = measures.split_root_moduli(sym, z)
@@ -492,18 +488,14 @@ def _run_lsd_exp(ens: TrialEnsemble, params: dict, out_dir):
     "lsd_superexp",
     "noise below every exponential leaves the unperturbed spectral law intact",
     ("logpot_probes",),
-    {"probe_count": 10, "gap_margin": 0.1, "logpot_tol": 0.1, "quadrature_n": 4096},
+    {"probe_count": 10, "gap_margin": 0.1, "logpot_tol": 0.1},
     pert_kind="superexp",
 )
 def _run_lsd_superexp(ens: TrialEnsemble, params: dict, out_dir):
     probes = _probe_points_off_support(
         ens.sym, params["probe_count"], params["gap_margin"], ens.cfg.seed
     )
-
-    def limit(z):
-        return measures.limit_logpot_unperturbed(ens.sym, z, quadrature_n=params["quadrature_n"])
-
-    devs = _logpot_devs(ens.eigenvalues, probes, limit)
+    devs = _logpot_devs(ens.eigenvalues, probes, lambda z: measures.limit_logpot_unperturbed(ens.sym, z))
     metrics = {"logpot_devs": devs, "logpot_dev_max": max(devs), "probes": len(probes)}
     passed = {"logpot_probes": max(devs) <= params["logpot_tol"]}
     return metrics, passed, []
@@ -814,20 +806,31 @@ def scenario_names() -> list[str]:
     return list(_REGISTRY)
 
 
+def check_params(scenario: str, params: dict) -> dict:
+    """The scenario's defaults updated by params, each checked for type and range.
+
+    Raises ConfigError for an unknown scenario or param, a value of the
+    wrong type, or one outside its range in :data:`_RANGES`.
+    """
+    if scenario not in _REGISTRY:
+        raise ConfigError(f"unknown scenario {scenario!r}; see `toepspec list`")
+    defaults = _REGISTRY[scenario].defaults
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown params for {scenario}: {sorted(unknown)}")
+    out = dict(defaults)
+    out.update({k: _typed(f"param {k}", v, defaults[k]) for k, v in params.items()})
+    for name in sorted(out.keys() & _RANGES):
+        ok, want = _RANGES[name]
+        if not ok(out[name]):
+            raise ConfigError(f"param {name} must be {want}, got {out[name]!r}")
+    return out
+
+
 def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
     """Run one scenario; deterministic given the config (seed included)."""
-    if config.scenario not in _REGISTRY:
-        raise ConfigError(f"unknown scenario {config.scenario!r}; see `toepspec list`")
+    params = check_params(config.scenario, config.params)
     sc = _REGISTRY[config.scenario]
-    unknown = set(config.params) - set(sc.defaults)
-    if unknown:
-        raise ConfigError(f"unknown params for {config.scenario}: {sorted(unknown)}")
-    params = dict(sc.defaults)
-    params.update({k: _typed(f"param {k}", v, sc.defaults[k]) for k, v in config.params.items()})
-    for name in sorted(params.keys() & _RANGES):
-        ok, want = _RANGES[name]
-        if not ok(params[name]):
-            raise ConfigError(f"param {name} must be {want}, got {params[name]!r}")
     if sc.pert_kind is not None and config.pert.kind != sc.pert_kind:
         raise ConfigError(f"{config.scenario} needs a {sc.pert_kind!r} perturbation")
     ens = TrialEnsemble(config)

@@ -39,6 +39,9 @@ from .symbol import (
 )
 
 MATCH_MAX_POINTS = 1024
+# relative gap between the split root moduli below which z counts as on the
+# limiting support set of the unperturbed matrices
+_SUPPORT_REL_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -126,37 +129,33 @@ def limit_logpot_exp(symbol: LaurentSymbol, z: complex, r: float) -> float:
     return _log_leading_and_top_roots(prof, count) + max(ell - symbol.nplus_eff, 0) * math.log(r)
 
 
-def split_root_moduli(symbol: LaurentSymbol, z: complex) -> tuple[float, float]:
-    """Moduli of the nplus-th and (nplus+1)-th roots (inf and 0 past the ends)."""
-    prof = root_profile(symbol, z)
+def _split_moduli(prof: RootProfile, k: int) -> tuple[float, float]:
+    """Moduli of the k-th and (k+1)-th roots (inf and 0 past the ends)."""
     mods = prof.moduli()
-    k = symbol.nplus_eff
     return (mods[k - 1] if k >= 1 else math.inf), (mods[k] if k < prof.total else 0.0)
 
 
-def limit_logpot_unperturbed(
-    symbol: LaurentSymbol,
-    z: complex,
-    quadrature_n: int = 4096,
-    rel_gap: float = 1e-6,
-) -> float:
+def split_root_moduli(symbol: LaurentSymbol, z: complex) -> tuple[float, float]:
+    """Moduli of the nplus-th and (nplus+1)-th roots (inf and 0 past the ends)."""
+    return _split_moduli(root_profile(symbol, z), symbol.nplus_eff)
+
+
+def limit_logpot_unperturbed(symbol: LaurentSymbol, z: complex) -> float:
     """Log-potential of the spectral law of the unperturbed Toeplitz matrices.
 
-    Quadrature of log|a(rho e^{i t}) - z| at a radius rho strictly between the
-    moduli of the nplus-th and (nplus+1)-th roots; the value does not depend
-    on the choice inside that interval.  Points where the interval closes
-    (the limiting support set) are rejected.
+    Equals log|leading| + sum of the log moduli of the nplus_eff largest roots
+    of q_z.  This is the circle quadrature of log|a(rho e^{i t}) - z| at any
+    rho strictly between the moduli of the nplus-th and (nplus+1)-th roots:
+    by Jensen's formula that mean is log|leading| + sum_j log max(rho, |zeta_j|),
+    and the log rho of the n_minus roots inside the circle cancel the factor
+    zeta^{-n_minus}, so the value does not depend on rho.  Points where the
+    interval closes (the limiting support set) are rejected.
     """
-    hi, lo = split_root_moduli(symbol, z)
-    if not (hi > lo and (math.isinf(hi) or (hi - lo) > rel_gap * hi)):
+    prof = root_profile(symbol, z)
+    hi, lo = _split_moduli(prof, symbol.nplus_eff)
+    if not (hi > lo and (math.isinf(hi) or (hi - lo) > _SUPPORT_REL_GAP * hi)):
         raise LambdaSetError(f"z = {z} lies on the limiting support set (root moduli {hi} ~ {lo})")
-    if math.isinf(hi):
-        rho = 2.0 * lo if lo > 0 else 1.0
-    elif lo == 0.0:
-        rho = hi / 2.0
-    else:
-        rho = math.sqrt(hi * lo)
-    return circle_quadrature_logpot(symbol, z, n=quadrature_n, radius=rho)
+    return _log_leading_and_top_roots(prof, symbol.nplus_eff)
 
 
 def pushforward_sample(symbol: LaurentSymbol, n: int) -> SpectralSample:

@@ -15,6 +15,7 @@ around z equals (number of roots inside the unit circle) - n_minus.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -99,7 +100,8 @@ def parse_symbol(text: str) -> LaurentSymbol:
     """Parse the `k:re[,im]` semicolon-separated coefficient format.
 
     Examples: ``-1:1`` is zeta^{-1}; ``-1:1;1:1`` is zeta + zeta^{-1}.
-    Whitespace is ignored.  A duplicated index k is an error.
+    Whitespace is ignored.  A duplicated index k, a non-finite coefficient
+    and a constant or all-zero symbol are configuration errors.
     """
     coeffs: dict[int, complex] = {}
     for term in text.split(";"):
@@ -120,8 +122,13 @@ def parse_symbol(text: str) -> LaurentSymbol:
             raise ConfigError(f"cannot parse symbol term {term!r}") from exc
         if k in coeffs:
             raise ConfigError(f"duplicate symbol index {k}")
+        if not cmath.isfinite(c):
+            raise ConfigError(f"symbol term {term!r} is not finite")
         coeffs[k] = c
-    return LaurentSymbol(coeffs)
+    try:
+        return LaurentSymbol(coeffs)
+    except DegenerateInputError as exc:
+        raise ConfigError(f"symbol {text!r}: {exc}") from exc
 
 
 def format_symbol(symbol: LaurentSymbol) -> str:

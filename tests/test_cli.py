@@ -179,6 +179,15 @@ def _params(scenario, **params):
         (_params("pairing", p=0.5), 1, "param p"),
         (_params("grushin", alpha=-1), 1, "param alpha"),
         ({"scenario": "eigvec_bulk", "n": 1}, 1, "n >= 2"),
+        ({"symbol": "0:1"}, 1, "constant symbol"),
+        ({"symbol": "-1:nan"}, 1, "not finite"),
+        ({"symbol": "-1:1;0:inf"}, 1, "not finite"),
+        (_params("no_outlier", eps=0.0), 1, "param eps"),
+        (_params("radius_law", eps=-0.5), 1, "param eps"),
+        (_params("outlier_count", margin=-0.1), 1, "param margin"),
+        (_params("lsd_exp", probe_margin=-0.1), 1, "param probe_margin"),
+        (_params("lsd_superexp", gap_margin=1.0), 1, "param gap_margin"),
+        (_params("lsd_superexp", gap_margin=-0.1), 1, "param gap_margin"),
     ],
     ids=[
         "string_int_param",
@@ -198,6 +207,15 @@ def _params(scenario, **params):
         "pairing_p_below_one",
         "negative_alpha",
         "eigvec_bulk_n_one",
+        "constant_symbol",
+        "nan_symbol_coefficient",
+        "inf_symbol_coefficient",
+        "zero_eps",
+        "negative_radius_law_eps",
+        "negative_margin",
+        "negative_probe_margin",
+        "gap_margin_one",
+        "negative_gap_margin",
     ],
 )
 def test_malformed_config_ends_in_one_line(tmp_path, capsys, patch, code, needle):
@@ -206,6 +224,49 @@ def test_malformed_config_ends_in_one_line(tmp_path, capsys, patch, code, needle
     assert main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == code
     first = capsys.readouterr().err.splitlines()[0]
     assert first.startswith(("error: ", "numerical failure: ")) and needle in first
+
+
+_SPECTRUM = ["spectrum", "--symbol", "-1:1", "--n", "4"]
+_PSEUDO = ["pseudospectrum", "--symbol", "-1:1", "--n", "4", "--nx", "5", "--ny", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["spectrum", "--symbol", "-1:nan", "--n", "4"], "not finite"),
+        (["spectrum", "--symbol", "-1:inf", "--n", "4"], "not finite"),
+        (["spectrum", "--symbol", "0:1", "--n", "4"], "constant symbol"),
+        ([*_SPECTRUM, "--n", "0"], "--n"),
+        ([*_PSEUDO, "--n", "0"], "--n"),
+        ([*_PSEUDO, "--levels", "abc"], "--levels"),
+        ([*_PSEUDO, "--levels", "-1"], "param levels"),
+        ([*_PSEUDO, "--levels", "0.1,0.1", "--plot", "x.svg"], "param levels"),
+        ([*_PSEUDO, "--nx", "1"], "param grid"),
+        ([*_PSEUDO, "--re-min", "3"], "param grid"),
+        ([*_PSEUDO, "--nx", "3000", "--ny", "3000"], "param grid"),
+        ([*_PSEUDO, "--im-max", "nan"], "param grid.im_max"),
+    ],
+    ids=[
+        "nan_symbol",
+        "inf_symbol",
+        "constant_symbol",
+        "spectrum_n_zero",
+        "pseudospectrum_n_zero",
+        "non_numeric_levels",
+        "negative_level",
+        "duplicate_level_with_plot",
+        "one_grid_column",
+        "inverted_grid_bounds",
+        "grid_over_node_guard",
+        "nan_grid_bound",
+    ],
+)
+def test_malformed_flag_ends_in_one_line(tmp_path, monkeypatch, capsys, argv, needle):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("error: ") and needle in first
+    assert not (tmp_path / "x.svg").exists()
 
 
 class TestListCommand:

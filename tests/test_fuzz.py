@@ -1,12 +1,16 @@
-"""Property test of the input boundary: `toepspec run` on any small config
-ends in exit code 0, 1 (configuration) or 2 (numerical), never in a traceback.
+"""Property tests of the input boundary: `toepspec run` on any small config,
+and `toepspec spectrum` / `toepspec pseudospectrum` on any small set of flags,
+end in exit code 0, 1 (configuration) or 2 (numerical), never in a traceback.
 
 The configs vary the scenario, the params (types and values, drawn from each
 scenario's defaults), the perturbation fields, the symbol, n and the trial
-count.  They stay small (n <= 12, trials <= 2, grids <= 6 x 6) so that every
-example runs in well under a second.
+count.  The flags vary the symbol text, n, the perturbation, the grid and the
+level string.  Both stay small (n <= 12, trials <= 2, grids <= 6 x 6) so that
+every example runs in well under a second.
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -97,3 +101,44 @@ def test_run_ends_in_an_exit_code(cfg):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main(["run", str(path), "--out-dir", str(Path(tmp) / "out")]) in (0, 1, 2)
+
+
+SYMBOL_TEXT = _mostly(
+    st.sampled_from(["-1:1", "-1:1;1:1", "-2:1;1:0.5,0.5"]),
+    st.sampled_from(["0:1", "-1:nan", "-1:inf", "huh", "1:1;1:2"]),
+)
+PERT_TEXT = _mostly(
+    st.sampled_from(["none", "poly:2", "exp:0.5", "superexp:1", "macro:0.5"]),
+    st.sampled_from(["exp:2", "poly:x", "bogus"]),
+)
+BOUND_TEXT = st.sampled_from(["-2", "0", "1.5", "2", "nan", "x"])
+# level strings, well-formed or not; only the first two are valid
+LEVEL_TEXT = st.sampled_from(["0.01,0.1", "0.5", "abc", "0.1,x", "-1", "0.1,0.1", "", "nan"])
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(["spectrum", "pseudospectrum"]))
+    n = draw(_mostly(st.integers(1, 8), st.integers(-2, 0)))
+    argv = [command, "--symbol", draw(SYMBOL_TEXT), "--n", str(n), "--pert", draw(PERT_TEXT)]
+    argv += ["--seed", str(draw(st.integers(0, 3)))]
+    if command == "pseudospectrum":
+        argv += ["--matrix", draw(st.sampled_from(MATRIX_KINDS))]
+        for flag in ("--nx", "--ny"):
+            argv += [flag, str(draw(_mostly(st.integers(2, 6), st.integers(-1, 1))))]
+        for flag in ("--re-min", "--re-max", "--im-min", "--im-max"):
+            if draw(st.integers(0, 5)) == 0:
+                argv += [flag, draw(BOUND_TEXT)]
+        argv += ["--levels", draw(LEVEL_TEXT)]
+    if draw(st.booleans()):
+        argv += ["--plot", "out.svg"]
+    return argv
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(argv=cli_argvs())
+def test_cli_flags_end_in_an_exit_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [str(Path(tmp) / a) if a == "out.svg" else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

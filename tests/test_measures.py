@@ -16,6 +16,7 @@ from toepspec.measures import (
     match_cost,
     pushforward_sample,
     read_sample_csv,
+    split_root_moduli,
     write_sample_csv,
 )
 from toepspec.symbol import curve_samples, evaluate, parse_symbol, random_symbol
@@ -160,6 +161,34 @@ class TestLimitUnperturbed:
         # real z in [-2, 2] has both roots of equal modulus
         with pytest.raises(LambdaSetError):
             limit_logpot_unperturbed(TRIDIAG, 0.5)
+
+    def test_near_support_set(self):
+        # relative root gap 1.2e-4: admitted, and the law is log|w| for the
+        # larger root w = (z + sqrt(z^2 - 4)) / 2, here in extended precision
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        z = mpmath.mpc(1, 1e-4)
+        exact = float(mpmath.log(abs((z + mpmath.sqrt(z * z - 4)) / 2)))
+        assert abs(limit_logpot_unperturbed(TRIDIAG, 1 + 1e-4j) - exact) <= 1e-14
+
+    def test_random_symbols_match_quadrature(self):
+        # Jensen: the circle mean at any radius inside the root gap is the
+        # closed form; the trapezoid rule converges geometrically there
+        rng = np.random.default_rng(29)
+        checked = 0
+        while checked < 40:
+            sym = random_symbol(rng)
+            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            hi, lo = split_root_moduli(sym, z)
+            if not (math.isinf(hi) or (hi - lo) >= 1e-2 * hi):
+                continue
+            if math.isinf(hi):
+                rho = 2 * lo if lo > 0 else 1.0
+            else:
+                rho = hi / 2 if lo == 0 else math.sqrt(hi * lo)
+            quad = circle_quadrature_logpot(sym, z, 1 << 18, radius=rho)
+            assert limit_logpot_unperturbed(sym, z) == pytest.approx(quad, abs=1e-12)
+            checked += 1
 
 
 class TestPushforward:

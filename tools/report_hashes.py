@@ -7,10 +7,13 @@ Usage (from the repository root):
 The set is every scenario at a small size plus the first rotation of each
 benchmark workload at --seed 1.  Each config runs in-process through
 `toepspec.cli.main` with a relative out-dir under WORK_DIR, so the artifact
-paths inside the reports do not depend on WORK_DIR.  The output maps each
-config to its exit code and the sha256 prefix of every file it wrote.  Run
-it on two checkouts (`--src` picks the package source) and diff the two
-outputs to see which reports a change touched.
+paths inside the reports do not depend on WORK_DIR.  A few `spectrum` and
+`pseudospectrum` invocations (the README's two examples at small n, and two
+that print to stdout) run the same way.  The output maps each config or
+invocation to its exit code and the sha256 prefix of every file it wrote,
+plus, for an invocation, of its stdout.  Run it on two checkouts (`--src`
+picks the package source) and diff the two outputs to see which reports a
+change touched.
 """
 
 from __future__ import annotations
@@ -40,6 +43,29 @@ def _cfg(scenario, symbol="-1:1", n=40, pert=None, trials=2, **params):
         "seed": 7,
         "params": params,
     }
+
+
+# CLI invocations; "{out}" is the invocation's own output directory
+CLI = {
+    "cli_spectrum": [
+        "spectrum", "--symbol", "-1:1", "--n", "40", "--pert", "poly:2", "--noise", "complex_gaussian",
+        "--seed", "7", "--out", "{out}/eigs.csv", "--plot", "{out}/eigs.svg",
+    ],
+    "cli_spectrum_stdout": ["spectrum", "--symbol", "-1:1;1:1", "--n", "12", "--pert", "exp:0.5", "--seed", "3"],
+    "cli_pseudospectrum": [
+        "pseudospectrum", "--symbol", "-1:1;1:1", "--n", "20", "--re-min", "-3", "--re-max", "3",
+        "--im-min", "-3", "--im-max", "3", "--nx", "21", "--ny", "21", "--levels", "0.01,0.1",
+        "--out", "{out}/field.csv", "--plot", "{out}/contours.svg",
+    ],
+    "cli_pseudospectrum_stdout": [
+        "pseudospectrum", "--symbol", "-1:1", "--n", "8", "--matrix", "circulant", "--nx", "9", "--ny", "9",
+        "--levels", "0.3,0.1",
+    ],
+}
+
+
+def _hash(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def configs() -> dict:
@@ -95,7 +121,15 @@ def main() -> int:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["run", f"{name}.json", "--out-dir", f"out/{name}"])
         files = sorted(Path("out", name).glob("*")) if code == 0 else []
-        out[name] = {"exit": code, **{f.name: hashlib.sha256(f.read_bytes()).hexdigest()[:16] for f in files}}
+        out[name] = {"exit": code, **{f.name: _hash(f.read_bytes()) for f in files}}
+    for name, argv in CLI.items():
+        out_dir = Path("out", name)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main([a.format(out=out_dir.as_posix()) for a in argv])
+        files = sorted(out_dir.glob("*"))
+        out[name] = {"exit": code, "stdout": _hash(stdout.getvalue().encode()), **{f.name: _hash(f.read_bytes()) for f in files}}
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 
