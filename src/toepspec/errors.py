@@ -25,10 +25,6 @@ class BadPointError(ToepspecError):
     """The point belongs to the exceptional set where root-based formulas break down."""
 
 
-class LambdaSetError(ToepspecError):
-    """The point lies on the limiting support set of the unperturbed matrices."""
-
-
 class ShapeError(ToepspecError):
     """Matrix or vector dimensions do not match the operation's contract."""
 

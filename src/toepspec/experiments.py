@@ -298,10 +298,8 @@ def _probe_points_regions(
         if np.min(np.abs(curves - z)) < margin:
             continue
         try:
-            key = classify_region(sym, z, r).key()
+            key = classify_region(sym, z, r)
         except (BoundaryError, OnCurveError):
-            continue
-        if key == "curve":
             continue
         bucket = buckets.setdefault(key, [])
         if len(bucket) < count:
@@ -327,11 +325,12 @@ def _probe_points_off_support(sym: LaurentSymbol, count: int, gap_margin: float,
     return out
 
 
-def _logpot_devs(eig_trials, zs, limit) -> list[float]:
-    """|mean over trials of the empirical log-potential at z - limit(z)| per probe z."""
+def _logpot_devs(eig_trials, zs, sym: LaurentSymbol, r: float) -> list[float]:
+    """|mean over trials of the empirical log-potential at z - limit_logpot(sym, z, r)| per probe z."""
     samples = [measures.SpectralSample(e) for e in eig_trials]
     return [
-        abs(float(np.mean([measures.empirical_logpot(s, z) for s in samples])) - limit(z))
+        abs(float(np.mean([measures.empirical_logpot(s, z) for s in samples]))
+            - measures.limit_logpot(sym, z, r))
         for z in zs
     ]
 
@@ -469,7 +468,7 @@ def _run_lsd_exp(ens: TrialEnsemble, params: dict, out_dir):
         sym, r, params["probe_count"], params["probe_margin"], ens.cfg.seed
     )
     devs_by_region = {
-        key: _logpot_devs(eig_trials, zs, lambda z: measures.limit_logpot_exp(sym, z, r))
+        key: _logpot_devs(eig_trials, zs, sym, r)
         for key, zs in probes.items()
     }
     worst = max((max(devs) for devs in devs_by_region.values()), default=0.0)
@@ -495,7 +494,7 @@ def _run_lsd_superexp(ens: TrialEnsemble, params: dict, out_dir):
     probes = _probe_points_off_support(
         ens.sym, params["probe_count"], params["gap_margin"], ens.cfg.seed
     )
-    devs = _logpot_devs(ens.eigenvalues, probes, lambda z: measures.limit_logpot_unperturbed(ens.sym, z))
+    devs = _logpot_devs(ens.eigenvalues, probes, ens.sym, 0.0)
     metrics = {"logpot_devs": devs, "logpot_dev_max": max(devs), "probes": len(probes)}
     passed = {"logpot_probes": max(devs) <= params["logpot_tol"]}
     return metrics, passed, []

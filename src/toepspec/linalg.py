@@ -34,20 +34,14 @@ _EIGVEC_KEY = 0x5EEDBEEF
 
 _SMIN_MAX_ITER = 50
 _SMIN_RTOL = 1e-10
-
-# start vectors cached per (key, n): generator construction would otherwise
-# dominate the many small solves on pseudospectrum grids
-_START_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_EIGVEC_MAX_ITER = 50
 
 
 def _start_vector(key: int, n: int) -> np.ndarray:
-    cached = _START_CACHE.get((key, n))
-    if cached is None:
-        rng = np.random.Generator(np.random.Philox(key=key))
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        cached = v / np.linalg.norm(v)
-        _START_CACHE[(key, n)] = cached
-    return cached.copy()
+    """Unit complex Gaussian vector of length n; the same key gives the same bits."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
 
 
 def _require_square(m: np.ndarray) -> np.ndarray:
@@ -165,7 +159,7 @@ def smallest_singular(m: np.ndarray) -> float:
     return float(svd(m).singular_values[0])
 
 
-def eigenvector(m: np.ndarray, lam: complex, max_iter: int = 50) -> np.ndarray:
+def eigenvector(m: np.ndarray, lam: complex) -> np.ndarray:
     """Unit right eigenvector for a computed eigenvalue, by shifted inverse iteration.
 
     The residual contract is ||(m - lam I) v|| <= 1e-6 ||m||; stagnation above
@@ -192,7 +186,7 @@ def eigenvector(m: np.ndarray, lam: complex, max_iter: int = 50) -> np.ndarray:
     best = v
     best_res = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_EIGVEC_MAX_ITER):
             w = sla.lu_solve((lu, piv), v, trans=0, check_finite=False)
             nw = np.linalg.norm(w)
             if not np.isfinite(nw) or nw == 0.0:

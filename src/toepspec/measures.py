@@ -3,10 +3,11 @@ distances between point sets.
 
 The log-potential of a measure mu at z is int log|z - x| dmu(x); for the
 empirical measure of eigenvalues it is (1/n) sum log|z - lambda_i|, which is
-also (1/n) log|det(z - M)|.  The three limit laws implemented here are the
-push-forward of the uniform circle measure by the symbol (sub-exponential
-noise), its radius-r refinement (noise at scale r^N), and the law of the
-unperturbed matrices themselves (super-exponentially small noise).
+also (1/n) log|det(z - M)|.  One closed form in r covers the three limit
+laws: the push-forward of the uniform circle measure by the symbol (r = 1,
+polynomially small noise), its radius-r refinement (noise at scale r^N) and
+the law of the unperturbed matrices themselves (r = 0, super-exponentially
+small noise).
 """
 
 from __future__ import annotations
@@ -19,29 +20,12 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import (
-    BadPointError,
-    EmptyDataError,
-    LambdaSetError,
-    NonFiniteError,
-    OnCurveError,
-    ShapeError,
-    SizeLimitError,
-)
-from .symbol import (
-    LaurentSymbol,
-    RegionKind,
-    RootProfile,
-    classify_region,
-    curve_samples,
-    evaluate,
-    root_profile,
-)
+from .errors import DomainError, EmptyDataError, NonFiniteError, OnCurveError, ShapeError, SizeLimitError
+from .symbol import LaurentSymbol, curve_samples, evaluate, root_profile
+# unused here, but bench/test_bench.py pins this binding until ROADMAP item 1 lands
+from .symbol import classify_region  # noqa: F401
 
 MATCH_MAX_POINTS = 1024
-# relative gap between the split root moduli below which z counts as on the
-# limiting support set of the unperturbed matrices
-_SUPPORT_REL_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,34 +50,43 @@ def empirical_logpot(sample: SpectralSample, z: complex) -> float:
     return float(np.mean(np.log(d)))
 
 
-def _log_leading_and_top_roots(prof: RootProfile, count: int) -> float:
-    """log|leading| + sum of log moduli of the `count` largest roots.
+def limit_logpot(symbol: LaurentSymbol, z: complex, r: float) -> float:
+    """Log-potential at z of the limit law under noise at coupling r^N, 0 <= r <= 1.
 
-    Roots at infinity pair off against the vanished top coefficients, so the
-    combination stays finite provided count >= number of infinite roots.
+    With k = nplus_eff and the roots zeta_j of q_z sorted by nonincreasing
+    modulus, the value is
+
+        log|leading| + sum_{j<k} log max(|zeta_j|, r) + sum_{j>=k} log max(r |zeta_j|, 1).
+
+    r = 1 is the push-forward of the uniform circle measure by the symbol
+    (polynomially small noise): the sum is sum_j log+|zeta_j|, the mean of
+    log|a(u) - z| over the unit circle by Jensen's formula.  0 < r < 1 is the
+    law under noise at scale r^N, and r = 0 the law of the unperturbed matrices
+    (super-exponentially small noise), the top-k root sum.  A root at infinity
+    pairs off against the vanished top coefficient and contributes log r when
+    j >= k.  The value is continuous in z, on the symbol curve and on the
+    limiting support set included; it is -inf where the law has an atom at z.
     """
-    if count < prof.infinite:
-        raise BadPointError("log-potential formula needs more roots than sit at infinity")
-    finite_count = count - prof.infinite
-    val = math.log(abs(prof.leading))
-    for j in range(finite_count):
-        r = abs(prof.roots[j])
-        if r == 0:
-            return -math.inf
-        val += math.log(r)
-    return val
-
-
-def limit_logpot_subexp(symbol: LaurentSymbol, z: complex) -> float:
-    """Log-potential of the push-forward of the uniform circle measure by the symbol.
-
-    Equals log|leading| + sum over roots outside the unit circle of log|zeta_j|,
-    and matches the circle quadrature of log|a(u) - z| (Jensen's formula).
-    """
+    if not 0 <= r <= 1:
+        raise DomainError("the radius parameter must lie in [0, 1]")
     prof = root_profile(symbol, z)
-    if prof.on_circle:
-        raise OnCurveError(f"z = {z} lies on the symbol curve")
-    return _log_leading_and_top_roots(prof, prof.mplus)
+    k = symbol.nplus_eff
+    val = math.log(abs(prof.leading))
+    # roots contributing log r: at infinity past k, below r before k, beyond 1/r past k
+    n_r = max(prof.infinite - k, 0)
+    for j, root in enumerate(prof.roots, start=prof.infinite):
+        m = abs(root)
+        if j < k:
+            if m > r:
+                val += math.log(m)
+            else:
+                n_r += 1
+        elif r * m > 1:
+            val += math.log(m)
+            n_r += 1
+    if n_r == 0:
+        return val
+    return val + n_r * math.log(r) if r > 0 else -math.inf
 
 
 def circle_quadrature_logpot(symbol: LaurentSymbol, z: complex, n: int = 4096, radius: float = 1.0) -> float:
@@ -108,54 +101,11 @@ def circle_quadrature_logpot(symbol: LaurentSymbol, z: complex, n: int = 4096, r
     return float(np.mean(np.log(vals)))
 
 
-def limit_logpot_exp(symbol: LaurentSymbol, z: complex, r: float) -> float:
-    """Log-potential of the limit law under noise at coupling r^N.
-
-    Piecewise in the region label of z: in S0 it coincides with the
-    sub-exponential limit; for winding number d != 0 the straddling count ell
-    replaces (d - ell)+ (resp. (ell - nplus)+) root factors by powers of r.
-    """
-    label = classify_region(symbol, z, r)
-    if label.kind is RegionKind.ON_CURVE:
-        raise OnCurveError(f"z = {z} lies on the symbol curve")
-    prof = root_profile(symbol, z)
-    if label.kind is RegionKind.S0:
-        return _log_leading_and_top_roots(prof, prof.mplus)
-    d, ell = label.d, label.ell
-    if d > 0:
-        count = prof.mplus + min(ell, d)
-        return _log_leading_and_top_roots(prof, count) + max(d - ell, 0) * math.log(r)
-    count = max(ell, symbol.nplus_eff)
-    return _log_leading_and_top_roots(prof, count) + max(ell - symbol.nplus_eff, 0) * math.log(r)
-
-
-def _split_moduli(prof: RootProfile, k: int) -> tuple[float, float]:
-    """Moduli of the k-th and (k+1)-th roots (inf and 0 past the ends)."""
-    mods = prof.moduli()
-    return (mods[k - 1] if k >= 1 else math.inf), (mods[k] if k < prof.total else 0.0)
-
-
 def split_root_moduli(symbol: LaurentSymbol, z: complex) -> tuple[float, float]:
     """Moduli of the nplus-th and (nplus+1)-th roots (inf and 0 past the ends)."""
-    return _split_moduli(root_profile(symbol, z), symbol.nplus_eff)
-
-
-def limit_logpot_unperturbed(symbol: LaurentSymbol, z: complex) -> float:
-    """Log-potential of the spectral law of the unperturbed Toeplitz matrices.
-
-    Equals log|leading| + sum of the log moduli of the nplus_eff largest roots
-    of q_z.  This is the circle quadrature of log|a(rho e^{i t}) - z| at any
-    rho strictly between the moduli of the nplus-th and (nplus+1)-th roots:
-    by Jensen's formula that mean is log|leading| + sum_j log max(rho, |zeta_j|),
-    and the log rho of the n_minus roots inside the circle cancel the factor
-    zeta^{-n_minus}, so the value does not depend on rho.  Points where the
-    interval closes (the limiting support set) are rejected.
-    """
-    prof = root_profile(symbol, z)
-    hi, lo = _split_moduli(prof, symbol.nplus_eff)
-    if not (hi > lo and (math.isinf(hi) or (hi - lo) > _SUPPORT_REL_GAP * hi)):
-        raise LambdaSetError(f"z = {z} lies on the limiting support set (root moduli {hi} ~ {lo})")
-    return _log_leading_and_top_roots(prof, symbol.nplus_eff)
+    mods = root_profile(symbol, z).moduli()
+    k = symbol.nplus_eff
+    return (mods[k - 1] if k >= 1 else math.inf), (mods[k] if k < len(mods) else 0.0)
 
 
 def pushforward_sample(symbol: LaurentSymbol, n: int) -> SpectralSample:

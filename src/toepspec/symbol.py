@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping
 
 import numpy as np
@@ -34,6 +33,9 @@ from .errors import (
 # Half-width of the modulus band around 1 inside which a root is treated as
 # sitting on the unit circle.
 ON_CIRCLE_TOL = 1e-9
+# Half-width of the band around a separating circle (absolute at radius r,
+# relative at radius 1/r) inside which :func:`classify_region` refuses a root.
+_BOUNDARY_TOL = 1e-9
 
 
 class LaurentSymbol:
@@ -213,7 +215,7 @@ def _poly_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
     return np.asarray(roots, dtype=complex)
 
 
-def root_profile(symbol: LaurentSymbol, z: complex, tol: float = ON_CIRCLE_TOL) -> RootProfile:
+def root_profile(symbol: LaurentSymbol, z: complex) -> RootProfile:
     """Root data of zeta^{n_minus_eff} (a(zeta) - z) with the roots-at-infinity convention."""
     nm = symbol.nminus_eff
     target = symbol.band
@@ -233,9 +235,9 @@ def root_profile(symbol: LaurentSymbol, z: complex, tol: float = ON_CIRCLE_TOL) 
     roots = roots[order]
     mods = np.abs(roots)
     infinite = target - deg
-    on_circle = int(np.sum(np.abs(mods - 1.0) < tol))
-    mplus = infinite + int(np.sum(mods >= 1.0 + tol))
-    mminus = int(np.sum(mods <= 1.0 - tol))
+    on_circle = int(np.sum(np.abs(mods - 1.0) < ON_CIRCLE_TOL))
+    mplus = infinite + int(np.sum(mods >= 1.0 + ON_CIRCLE_TOL))
+    mminus = int(np.sum(mods <= 1.0 - ON_CIRCLE_TOL))
     return RootProfile(
         roots=tuple(roots),
         infinite=infinite,
@@ -246,13 +248,13 @@ def root_profile(symbol: LaurentSymbol, z: complex, tol: float = ON_CIRCLE_TOL) 
     )
 
 
-def winding_number(symbol: LaurentSymbol, z: complex, tol: float = ON_CIRCLE_TOL) -> int:
+def winding_number(symbol: LaurentSymbol, z: complex) -> int:
     """Winding number of the symbol curve around z, via root counting.
 
     Equals m_-(z) - n_minus_eff.  Points on the curve (a root of modulus 1
     within tolerance) are rejected.
     """
-    prof = root_profile(symbol, z, tol=tol)
+    prof = root_profile(symbol, z)
     if prof.on_circle:
         raise OnCurveError(f"z = {z} lies on the symbol curve within tolerance")
     return prof.mminus - symbol.nminus_eff
@@ -280,75 +282,34 @@ def winding_number_quadrature(symbol: LaurentSymbol, z: complex, n: int = 4096) 
     return wind
 
 
-class RegionKind(str, Enum):
-    ON_CURVE = "on_curve"
-    S0 = "s0"
-    SD = "sd"
-    SD_ELL_R = "sd_ell_r"
+def classify_region(symbol: LaurentSymbol, z: complex, r: float) -> str:
+    """The region of z in the decomposition used by the exponential-noise limit law.
 
-
-@dataclass(frozen=True)
-class RegionLabel:
-    """Classification of a point z relative to the symbol curve and a radius r.
-
-    ``S0``: winding number 0.  ``SD_ELL_R``: winding number d != 0, with ell
-    counting how many roots straddle the radius-r circle (d > 0) or the
-    radius-1/r circle (d < 0).
-    """
-
-    kind: RegionKind
-    d: int = 0
-    ell: int | None = None
-    r: float | None = None
-
-    def key(self) -> str:
-        if self.kind is RegionKind.S0:
-            return "S0"
-        if self.kind is RegionKind.SD:
-            return f"S{self.d}"
-        if self.kind is RegionKind.SD_ELL_R:
-            return f"S{self.d},{self.ell}"
-        return "curve"
-
-
-def classify_region(
-    symbol: LaurentSymbol,
-    z: complex,
-    r: float,
-    tol: float = ON_CIRCLE_TOL,
-    boundary_tol: float = 1e-9,
-) -> RegionLabel:
-    """Place z into the region decomposition used by the exponential-noise limit law.
-
-    Sentinels zeta_0 = infinity and zeta_{last+1} = 0 make the straddling
-    condition well defined at the extreme values of ell.  Points whose root
-    moduli sit on the separating circles (radius r, or 1/r for negative
-    winding) raise :class:`BoundaryError`; points on the symbol curve itself
-    are labelled ``ON_CURVE``.
+    Returns ``"S0"`` for winding number 0, else ``"S{d},{ell}"`` for winding
+    number d != 0, with ell counting how many roots straddle the radius-r
+    circle (d > 0) or the radius-1/r circle (d < 0).  Points whose root
+    moduli sit on that separating circle raise :class:`BoundaryError`;
+    points on the symbol curve itself raise :class:`OnCurveError`.
     """
     if not 0 < r < 1:
         raise ConfigError("the radius parameter must lie in (0, 1)")
-    prof = root_profile(symbol, z, tol=tol)
+    prof = root_profile(symbol, z)
     if prof.on_circle:
-        return RegionLabel(RegionKind.ON_CURVE)
+        raise OnCurveError(f"z = {z} lies on the symbol curve within tolerance")
     d = prof.mminus - symbol.nminus_eff
     if d == 0:
-        return RegionLabel(RegionKind.S0)
+        return "S0"
     mods = prof.moduli()
     if d > 0:
-        if any(abs(m - r) <= boundary_tol for m in mods if math.isfinite(m)):
+        if any(abs(m - r) <= _BOUNDARY_TOL for m in mods if math.isfinite(m)):
             raise BoundaryError(f"z = {z} has a root modulus on the radius-{r} circle")
-        ell = sum(1 for m in mods if r < m <= 1.0 - tol)
-        if not 0 <= ell <= prof.mminus:
-            raise BoundaryError(f"inconsistent straddling count at z = {z}")
+        ell = sum(1 for m in mods if r < m <= 1.0 - ON_CIRCLE_TOL)
     else:
         rinv = 1.0 / r
-        if any(abs(m - rinv) <= boundary_tol * rinv for m in mods if math.isfinite(m)):
+        if any(abs(m - rinv) <= _BOUNDARY_TOL * rinv for m in mods if math.isfinite(m)):
             raise BoundaryError(f"z = {z} has a root modulus on the radius-{rinv} circle")
         ell = sum(1 for m in mods if m > rinv)
-        if not 0 <= ell <= prof.mplus:
-            raise BoundaryError(f"inconsistent straddling count at z = {z}")
-    return RegionLabel(RegionKind.SD_ELL_R, d=d, ell=ell, r=r)
+    return f"S{d},{ell}"
 
 
 @dataclass(frozen=True)

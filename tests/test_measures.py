@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from toepspec.errors import LambdaSetError, OnCurveError, ShapeError
+from toepspec.errors import DomainError, ShapeError
 from toepspec.measures import (
     SpectralSample,
     circle_quadrature_logpot,
     dist_to_curve,
     empirical_logpot,
     energy_distance,
-    limit_logpot_exp,
-    limit_logpot_subexp,
-    limit_logpot_unperturbed,
+    limit_logpot,
     match_cost,
     pushforward_sample,
     read_sample_csv,
@@ -42,20 +40,73 @@ class TestEmpiricalLogpot:
         assert empirical_logpot(sample([0]), 0) == -math.inf
 
 
+class TestLimitClosedForms:
+    RADII = (0.0, 0.3, 0.5, 1.0)
+
+    @pytest.mark.parametrize("text, p", [("-1:1", 1), ("2:1", 2)], ids=["-1:1", "2:1"])
+    def test_one_sided_symbols(self, text, p):
+        # zeta^{-1} (Jordan block) has L_r(z) = log max(|z|, r); zeta^2 has
+        # L_r(z) = log max(|z|, r^2): the circle laws of radius r^p and 1
+        # and, at r = 0, a point mass at 0.  Both sides of every circle,
+        # the circles themselves and z = 0 included.
+        sym = parse_symbol(text)
+        checked = 0
+        worst = 0.0
+        for r in self.RADII:
+            for mod in (0.0, 0.05, r**p, 0.2, 0.5, 0.9, 1.0, 1.5):
+                for angle in (0.0, 1.0, -2.5):
+                    z = mod * complex(math.cos(angle), math.sin(angle))
+                    expect = math.log(max(mod, r**p)) if max(mod, r) > 0 else -math.inf
+                    got = limit_logpot(sym, z, r)
+                    if math.isinf(expect):
+                        assert got == expect, (r, z)
+                    else:
+                        worst = max(worst, abs(got - expect))
+                    checked += 1
+        assert checked == 96
+        assert worst <= 1e-14
+
+    def test_radius_outside_unit_interval_rejected(self):
+        for r in (-0.1, 1.5, math.nan):
+            with pytest.raises(DomainError):
+                limit_logpot(JORDAN, 0.5, r)
+
+
 class TestLimitSubexp:
     def test_jordan_outside(self):
-        assert limit_logpot_subexp(JORDAN, 2.0) == pytest.approx(math.log(2), rel=1e-12)
+        assert limit_logpot(JORDAN, 2.0, 1.0) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_jordan_inside(self):
-        assert limit_logpot_subexp(JORDAN, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert limit_logpot(JORDAN, 0.5, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_tridiagonal_outside(self):
         expect = math.log((3 + math.sqrt(5)) / 2)
-        assert limit_logpot_subexp(TRIDIAG, 3.0) == pytest.approx(expect, rel=1e-9)
+        assert limit_logpot(TRIDIAG, 3.0, 1.0) == pytest.approx(expect, rel=1e-9)
 
-    def test_on_curve_rejected(self):
-        with pytest.raises(OnCurveError):
-            limit_logpot_subexp(JORDAN, 1.0)
+    def test_on_curve_matches_quadrature(self):
+        # on the curve the law is still the circle mean of log|a(u) - z|,
+        # whose integrand has a log singularity where a(u) = z.  Tanh-sinh
+        # quadrature once around from that angle, split also at every other
+        # close approach of the curve to z, resolves it.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        rng = np.random.default_rng(78)
+        grid = 2 * np.pi * np.arange(4096) / 4096
+        for _ in range(6):
+            sym = random_symbol(rng)
+            t0 = float(rng.uniform(0, 2 * math.pi))
+            z = complex(evaluate(sym, complex(math.cos(t0), math.sin(t0))))
+            d = np.abs(evaluate(sym, np.exp(1j * (t0 + grid))) - z)
+            near = (d <= np.roll(d, 1)) & (d <= np.roll(d, -1))
+            cuts = [t0 + float(t) for t in grid[near] if 0.01 < t < 2 * math.pi - 0.01]
+
+            def integrand(t):
+                u = mpmath.expj(t)
+                return mpmath.log(abs(sum(c * u**k for k, c in sym.coeffs.items()) - z))
+
+            quad, err = mpmath.quad(integrand, [t0, *cuts, t0 + 2 * mpmath.pi], error=True)
+            assert err <= 1e-12
+            assert abs(limit_logpot(sym, z, 1.0) - float(quad) / (2 * math.pi)) <= 1e-10
 
     def test_jensen_cross_check(self):
         rng = np.random.default_rng(70)
@@ -67,10 +118,7 @@ class TestLimitSubexp:
 
             if float(np.min(np.abs(curve_samples(sym, 1024) - z))) < 0.05:
                 continue
-            try:
-                formula = limit_logpot_subexp(sym, z)
-            except OnCurveError:
-                continue
+            formula = limit_logpot(sym, z, 1.0)
             quad = circle_quadrature_logpot(sym, z, 4096)
             assert formula == pytest.approx(quad, abs=1e-6)
             checked += 1
@@ -80,7 +128,7 @@ class TestLimitExp:
     def test_small_ellipse_interior_gives_log_r(self):
         # winding +1, both roots inside radius r
         sym = parse_symbol("-1:0.1;1:1")
-        assert limit_logpot_exp(sym, 0.02 + 0.01j, 0.5) == pytest.approx(
+        assert limit_logpot(sym, 0.02 + 0.01j, 0.5) == pytest.approx(
             math.log(0.5), rel=1e-9
         )
 
@@ -90,7 +138,7 @@ class TestLimitExp:
         from toepspec.symbol import root_profile
 
         prof = root_profile(sym, z)
-        assert limit_logpot_exp(sym, z, 0.5) == pytest.approx(
+        assert limit_logpot(sym, z, 0.5) == pytest.approx(
             math.log(abs(prof.roots[0])), rel=1e-9
         )
 
@@ -106,18 +154,18 @@ class TestLimitExp:
             + math.log(abs(prof.roots[1]))
             + math.log(0.5)
         )
-        assert limit_logpot_exp(sym, z, 0.5) == pytest.approx(expect, rel=1e-9)
+        assert limit_logpot(sym, z, 0.5) == pytest.approx(expect, rel=1e-9)
 
     def test_s0_matches_subexp(self):
-        assert limit_logpot_exp(TRIDIAG, 3.0, 0.5) == pytest.approx(
-            limit_logpot_subexp(TRIDIAG, 3.0), rel=1e-12
+        assert limit_logpot(TRIDIAG, 3.0, 0.5) == pytest.approx(
+            limit_logpot(TRIDIAG, 3.0, 1.0), rel=1e-12
         )
 
     def test_jordan_cases(self):
         # annulus r < |z| < 1: potential of the uniform radius-r circle law
-        assert limit_logpot_exp(JORDAN, 0.75, 0.5) == pytest.approx(math.log(0.75), rel=1e-9)
+        assert limit_logpot(JORDAN, 0.75, 0.5) == pytest.approx(math.log(0.75), rel=1e-9)
         # deep interior |z| < r
-        assert limit_logpot_exp(JORDAN, 0.25, 0.5) == pytest.approx(math.log(0.5), rel=1e-9)
+        assert limit_logpot(JORDAN, 0.25, 0.5) == pytest.approx(math.log(0.5), rel=1e-9)
 
     def test_r_to_one_consistency(self):
         rng = np.random.default_rng(71)
@@ -126,11 +174,8 @@ class TestLimitExp:
         while checked < 20:
             sym = random_symbol(rng)
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            try:
-                val_exp = limit_logpot_exp(sym, z, r)
-                val_sub = limit_logpot_subexp(sym, z)
-            except Exception:
-                continue
+            val_exp = limit_logpot(sym, z, r)
+            val_sub = limit_logpot(sym, z, 1.0)
             assert val_exp == pytest.approx(val_sub, abs=1e-6)
             checked += 1
 
@@ -138,11 +183,11 @@ class TestLimitExp:
 class TestLimitUnperturbed:
     def test_triangular_dirac(self):
         # strictly one-sided band: the law is a point mass at a_0 = 0
-        assert limit_logpot_unperturbed(SHIFT, 2.0) == pytest.approx(math.log(2), abs=1e-9)
+        assert limit_logpot(SHIFT, 2.0, 0.0) == pytest.approx(math.log(2), abs=1e-9)
 
     def test_tridiagonal_equals_subexp_here(self):
-        assert limit_logpot_unperturbed(TRIDIAG, 3.0) == pytest.approx(
-            limit_logpot_subexp(TRIDIAG, 3.0), abs=1e-8
+        assert limit_logpot(TRIDIAG, 3.0, 0.0) == pytest.approx(
+            limit_logpot(TRIDIAG, 3.0, 1.0), abs=1e-8
         )
 
     def test_rho_invariance(self):
@@ -151,16 +196,16 @@ class TestLimitUnperturbed:
         z = 3.0 + 0.5j
         prof = root_profile(TRIDIAG, z)
         hi, lo = abs(prof.roots[0]), abs(prof.roots[1])
-        base = limit_logpot_unperturbed(TRIDIAG, z)
+        base = limit_logpot(TRIDIAG, z, 0.0)
         for frac in (0.25, 0.75):
             rho = lo * (hi / lo) ** frac
             alt = circle_quadrature_logpot(TRIDIAG, z, 4096, radius=rho)
             assert alt == pytest.approx(base, abs=1e-6)
 
-    def test_support_set_rejected(self):
-        # real z in [-2, 2] has both roots of equal modulus
-        with pytest.raises(LambdaSetError):
-            limit_logpot_unperturbed(TRIDIAG, 0.5)
+    def test_support_set_is_arcsine(self):
+        # real z in [-2, 2] has both roots on the unit circle; the law there is
+        # the arcsine law, the equilibrium measure of [-2, 2], of capacity 1
+        assert abs(limit_logpot(TRIDIAG, 0.5, 0.0)) <= 1e-15
 
     def test_near_support_set(self):
         # relative root gap 1.2e-4: admitted, and the law is log|w| for the
@@ -169,7 +214,7 @@ class TestLimitUnperturbed:
         mpmath.mp.dps = 40
         z = mpmath.mpc(1, 1e-4)
         exact = float(mpmath.log(abs((z + mpmath.sqrt(z * z - 4)) / 2)))
-        assert abs(limit_logpot_unperturbed(TRIDIAG, 1 + 1e-4j) - exact) <= 1e-14
+        assert abs(limit_logpot(TRIDIAG, 1 + 1e-4j, 0.0) - exact) <= 1e-14
 
     def test_random_symbols_match_quadrature(self):
         # Jensen: the circle mean at any radius inside the root gap is the
@@ -187,7 +232,7 @@ class TestLimitUnperturbed:
             else:
                 rho = hi / 2 if lo == 0 else math.sqrt(hi * lo)
             quad = circle_quadrature_logpot(sym, z, 1 << 18, radius=rho)
-            assert limit_logpot_unperturbed(sym, z) == pytest.approx(quad, abs=1e-12)
+            assert limit_logpot(sym, z, 0.0) == pytest.approx(quad, abs=1e-12)
             checked += 1
 
 
@@ -212,10 +257,7 @@ class TestPushforward:
         checked = 0
         while checked < 20:
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            try:
-                lim = limit_logpot_subexp(TRIDIAG, z)
-            except OnCurveError:
-                continue
+            lim = limit_logpot(TRIDIAG, z, 1.0)
             from toepspec.symbol import curve_samples
 
             if float(np.min(np.abs(curve_samples(TRIDIAG, 512) - z))) < 0.05:

@@ -12,7 +12,6 @@ from toepspec.errors import (
 )
 from toepspec.symbol import (
     LaurentSymbol,
-    RegionKind,
     classify_region,
     curve_samples,
     evaluate,
@@ -182,23 +181,22 @@ class TestWinding:
 
 class TestClassify:
     def test_jordan_ell_zero(self):
-        label = classify_region(JORDAN, 0.75, 0.5)
-        assert (label.kind, label.d, label.ell) == (RegionKind.SD_ELL_R, -1, 0)
+        assert classify_region(JORDAN, 0.75, 0.5) == "S-1,0"
 
     def test_jordan_ell_one(self):
-        label = classify_region(JORDAN, 0.25, 0.5)
-        assert (label.kind, label.d, label.ell) == (RegionKind.SD_ELL_R, -1, 1)
+        assert classify_region(JORDAN, 0.25, 0.5) == "S-1,1"
 
     def test_jordan_outside(self):
-        assert classify_region(JORDAN, 1.5, 0.5).kind is RegionKind.S0
+        assert classify_region(JORDAN, 1.5, 0.5) == "S0"
 
     def test_boundary_rejected(self):
         # |1/z| = 2 exactly puts the root on the separating circle
         with pytest.raises(BoundaryError):
             classify_region(JORDAN, 0.5, 0.5)
 
-    def test_on_curve_label(self):
-        assert classify_region(JORDAN, 1.0, 0.5).kind is RegionKind.ON_CURVE
+    def test_on_curve_rejected(self):
+        with pytest.raises(OnCurveError):
+            classify_region(JORDAN, 1.0, 0.5)
 
     def test_bad_radius(self):
         with pytest.raises(ConfigError):
@@ -216,7 +214,7 @@ class TestClassify:
         for j, y in enumerate(ims):
             for i, x in enumerate(res):
                 try:
-                    labels[(i, j)] = classify_region(sym, complex(x, y), r).key()
+                    labels[(i, j)] = classify_region(sym, complex(x, y), r)
                 except (BoundaryError, OnCurveError):
                     labels[(i, j)] = None
         assert sum(1 for v in labels.values() if v is None) < n * n // 100

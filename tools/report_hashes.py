@@ -11,9 +11,9 @@ paths inside the reports do not depend on WORK_DIR.  A few `spectrum` and
 `pseudospectrum` invocations (the README's two examples at small n, and two
 that print to stdout) run the same way.  The output maps each config or
 invocation to its exit code and the sha256 prefix of every file it wrote,
-plus, for an invocation, of its stdout.  Run it on two checkouts (`--src`
-picks the package source) and diff the two outputs to see which reports a
-change touched.
+plus, for an invocation, of its stdout; it exits 1 if any of them exited
+non-zero.  Run it on two checkouts (`--src` picks the package source) and
+diff the two outputs to see which reports a change touched.
 """
 
 from __future__ import annotations
@@ -73,6 +73,10 @@ def configs() -> dict:
         "lsd_subexp": _cfg("lsd_subexp", n=60),
         "lsd_exp": _cfg("lsd_exp", pert=EXP, check_radius=True, probe_count=4),
         "lsd_exp_2sided": _cfg("lsd_exp", symbol="-1:0.1;1:1", n=30, pert=EXP, probe_count=4),
+        # winding number +2 and -2: probes in S2,0 and S2,2, and in S-2,0 and S-2,2,
+        # where two log r factors add
+        "lsd_exp_d2_upper": _cfg("lsd_exp", symbol="2:1", pert=EXP, probe_count=4),
+        "lsd_exp_d2_lower": _cfg("lsd_exp", symbol="-2:1", pert=EXP, probe_count=4),
         "lsd_superexp": _cfg(
             "lsd_superexp", symbol="-1:0.5;1:1", pert={"kind": "superexp", "c": 1.0}, probe_count=4
         ),
@@ -131,6 +135,10 @@ def main() -> int:
         files = sorted(out_dir.glob("*"))
         out[name] = {"exit": code, "stdout": _hash(stdout.getvalue().encode()), **{f.name: _hash(f.read_bytes()) for f in files}}
     print(json.dumps(out, indent=1, sort_keys=True))
+    failed = sorted(name for name, entry in out.items() if entry["exit"] != 0)
+    if failed:
+        print(f"error: non-zero exit from {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 
