@@ -3,7 +3,8 @@
 Subcommands: ``spectrum`` (eigenvalues of one realization), ``pseudospectrum``
 (smallest-singular-value field plus contour lines), ``run`` (experiment config
 file), ``list`` (scenario registry).  Exit codes: 0 success, 1 configuration
-error, 2 numerical failure.
+error (size caps and sizes that run out of memory included), 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ import numpy as np
 from . import experiments, matrixgen, measures, pseudospec
 from .errors import ConfigError, ToepspecError
 from .matrixgen import NoiseSpec, PerturbationSpec
-from .svgplot import render_svg, write_scatter  # render_svg: the re-exported plotting entry point
+from .svgplot import write_scatter
 from .symbol import curve_samples, parse_symbol
-
-__all__ = ["main", "render_svg"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,6 +181,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("run `toepspec --help` for usage", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (ToepspecError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

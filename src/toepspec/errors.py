@@ -29,16 +29,8 @@ class ShapeError(ToepspecError):
     """Matrix or vector dimensions do not match the operation's contract."""
 
 
-class SizeLimitError(ToepspecError):
-    """The input exceeds a hard size guard (combinatorial or memory blowup)."""
-
-
 class ConvergenceError(ToepspecError):
     """An iterative kernel failed to converge within its iteration cap."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 class AmbiguousCutError(ToepspecError):
@@ -59,6 +51,10 @@ class NormalizationError(ToepspecError):
 
 class ConfigError(ToepspecError):
     """Invalid experiment or CLI configuration."""
+
+
+class SizeLimitError(ConfigError):
+    """The input exceeds a hard size guard (combinatorial or memory blowup): a configuration error."""
 
 
 class EmptyDataError(ToepspecError):

@@ -84,7 +84,6 @@ def _valid_grid(g: dict) -> bool:
 # param -> (predicate on its typed value, what the value must be): the ranges
 # that the kernels would otherwise reject mid-run, or not at all
 _RANGES = {
-    "quadrature_n": (lambda q: q >= 256, "at least 256"),
     "eps": (lambda e: e > 0, "positive"),
     "margin": (lambda m: m >= 0, "non-negative"),
     "probe_margin": (lambda m: m >= 0, "non-negative"),
@@ -397,7 +396,6 @@ def _scenario(name, description, criteria, defaults, pert_kind=None, eig_artifac
         "energy_tol": 0.05,
         "band_mult": 5.0,
         "band_frac_min": 0.9,
-        "quadrature_n": 1024,
     },
 )
 def _run_lsd_subexp(ens: TrialEnsemble, params: dict, out_dir):
@@ -406,7 +404,7 @@ def _run_lsd_subexp(ens: TrialEnsemble, params: dict, out_dir):
     band = params["band_mult"] * math.log(n) / n
     energies = [measures.energy_distance(measures.SpectralSample(e), push) for e in ens.eigenvalues]
     band_fracs = [
-        float(np.mean(measures.dist_to_curve(e, ens.sym, params["quadrature_n"]) <= band))
+        float(np.mean(measures.dist_to_curve(e, ens.sym) <= band))
         for e in ens.eigenvalues
     ]
     metrics = {
@@ -429,7 +427,6 @@ def _run_lsd_subexp(ens: TrialEnsemble, params: dict, out_dir):
     ("radius_band", "logpot_probes"),
     {
         "check_radius": False,
-        "target_radius": None,
         "band_mult": 5.0,
         "band_frac_min": 0.9,
         "probe_count": 10,
@@ -444,12 +441,11 @@ def _run_lsd_exp(ens: TrialEnsemble, params: dict, out_dir):
     metrics: dict = {}
     passed: dict = {}
     if params["check_radius"]:
-        target = params["target_radius"] if params["target_radius"] is not None else r
         band = params["band_mult"] * math.log(n) / n
         # the law is about the empirical measure: a few genuine interior
         # eigenvalues per trial (their expected number does not grow with n)
         # are allowed, so the criterion is the in-band fraction per trial
-        dev_trials = [np.abs(np.abs(eigs) - target) for eigs in eig_trials]
+        dev_trials = [np.abs(np.abs(eigs) - r) for eigs in eig_trials]
         fracs = [float(np.mean(d <= band)) for d in dev_trials]
         metrics.update(
             {
@@ -525,7 +521,7 @@ def _run_macro(ens: TrialEnsemble, params: dict, out_dir):
     "no_outlier",
     "no eigenvalue escapes the eps-fattening of the limit-operator spectrum",
     ("no_outliers",),
-    {"eps": 0.2, "quadrature_n": 1024},
+    {"eps": 0.2},
 )
 def _run_no_outlier(ens: TrialEnsemble, params: dict, out_dir):
     eps = params["eps"]
@@ -533,7 +529,7 @@ def _run_no_outlier(ens: TrialEnsemble, params: dict, out_dir):
     # the limit operator's spectrum is the curve plus every point of nonzero
     # winding, so only winding-0 eigenvalues lie at a positive distance from it
     off = eigs[[w == 0 for w in _windings(ens.sym, eigs)]]
-    dists = measures.dist_to_curve(off, ens.sym, params["quadrature_n"])
+    dists = measures.dist_to_curve(off, ens.sym)
     violations = int(np.sum(dists > eps))
     metrics = {"violations": violations, "max_dist": float(np.max(dists, initial=0.0)), "eps": eps}
     passed = {"no_outliers": violations == 0}
@@ -544,13 +540,13 @@ def _run_no_outlier(ens: TrialEnsemble, params: dict, out_dir):
     "outlier_count",
     "empirical counts of eigenvalues far from the curve, per winding number",
     ("counted",),
-    {"margin": 0.1, "quadrature_n": 1024},
+    {"margin": 0.1},
 )
 def _run_outlier_count(ens: TrialEnsemble, params: dict, out_dir):
     margin = params["margin"]
     trial_dicts = []
     for eigs in ens.eigenvalues:
-        far = eigs[measures.dist_to_curve(eigs, ens.sym, params["quadrature_n"]) > margin]
+        far = eigs[measures.dist_to_curve(eigs, ens.sym) > margin]
         trial_dicts.append(Counter(str(w) for w in _windings(ens.sym, far) if w is not None))
     keys = sorted(set().union(*trial_dicts))
     mean_counts = {k: float(np.mean([d.get(k, 0) for d in trial_dicts])) for k in keys}
@@ -567,7 +563,8 @@ def _run_outlier_count(ens: TrialEnsemble, params: dict, out_dir):
 )
 def _run_pairing(ens: TrialEnsemble, params: dict, out_dir):
     targets = curve_samples(ens.sym, ens.cfg.n)
-    costs = [measures.match_cost(eigs, targets, params["p"]) for eigs in ens.eigenvalues]
+    # trial by trial, so a size over the assignment cap stops after one solve
+    costs = [measures.match_cost(ens.eigs(t), targets, params["p"]) for t in range(ens.cfg.trials)]
     ok_frac = float(np.mean([c <= params["cost_tol"] for c in costs]))
     metrics = {"match_costs": costs, "cost_max": max(costs), "ok_frac": ok_frac}
     passed = {"match_cost": ok_frac >= params["pass_frac"]}
@@ -602,12 +599,12 @@ def _run_radius_law(ens: TrialEnsemble, params: dict, out_dir):
     return metrics, passed, []
 
 
-def _localization_rows(ens: TrialEnsemble, band_lo, band_hi, qn, mu1):
+def _localization_rows(ens: TrialEnsemble, band_lo, band_hi, mu1):
     """One row per near-curve eigenpair of every trial, eigenvalues in lexicographic order."""
     rows = []
     for t in range(ens.cfg.trials):
         eigs = ens.eigs(t)
-        dists = measures.dist_to_curve(eigs, ens.sym, qn)
+        dists = measures.dist_to_curve(eigs, ens.sym)
         in_band = [i for i in np.lexsort((eigs.imag, eigs.real)) if band_lo <= dists[i] <= band_hi]
         for idx, w in zip(in_band, _windings(ens.sym, eigs[in_band])):
             if not w:  # on the curve (None) or winding 0
@@ -644,7 +641,6 @@ def _localization_rows(ens: TrialEnsemble, band_lo, band_hi, qn, mu1):
         "loc_mult": 4.0,
         "supp_mu1": 0.5,
         "frac": 0.9,
-        "quadrature_n": 1024,
     },
     eig_artifacts=False,
 )
@@ -655,7 +651,7 @@ def _run_eigvec_bulk(ens: TrialEnsemble, params: dict, out_dir):
     band_hi = params["c_band"] * math.log(n) / n
     band_lo = math.log(n) / (params["c_band"] * n)
     loc_len = params["loc_mult"] * n / math.log(n)
-    all_rows = _localization_rows(ens, band_lo, band_hi, params["quadrature_n"], params["supp_mu1"])
+    all_rows = _localization_rows(ens, band_lo, band_hi, params["supp_mu1"])
     if not all_rows:
         return {"qualifying": 0}, {"localization": False}, []
     supps = np.array([r[4] for r in all_rows], dtype=float)

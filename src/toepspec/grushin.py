@@ -157,26 +157,13 @@ def perturbed_blocks(g: GrushinFactorization, q: np.ndarray, delta: float) -> Pe
     )
 
 
-@dataclass(frozen=True)
-class TruncatedLogDet:
-    value: float
-    empty: bool
-
-
-def truncated_logdet(a: np.ndarray, alpha: float) -> TruncatedLogDet:
-    """(1/N) sum of log s_j over the singular values above alpha.
-
-    Returns 0 with the empty flag set when no singular value clears the
-    threshold.
-    """
+def truncated_logdet(a: np.ndarray, alpha: float) -> float:
+    """(1/N) sum of log s_j over the singular values above alpha; 0 when none clears it."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError("expected a square matrix")
     s = svd(a).singular_values
-    keep = s[s > alpha]
-    if len(keep) == 0:
-        return TruncatedLogDet(0.0, True)
-    return TruncatedLogDet(float(np.sum(np.log(keep))) / a.shape[0], False)
+    return float(np.sum(np.log(s[s > alpha]))) / a.shape[0]
 
 
 def equivalence_gap(a: np.ndarray, q: np.ndarray, delta: float, alpha: float) -> float:
@@ -192,4 +179,4 @@ def equivalence_gap(a: np.ndarray, q: np.ndarray, delta: float, alpha: float) ->
     ld = lu_logdet(a + delta * q)
     if not math.isfinite(ld.log_abs):
         return math.inf
-    return abs(ld.log_abs / n - truncated_logdet(a, alpha).value)
+    return abs(ld.log_abs / n - truncated_logdet(a, alpha))

@@ -163,7 +163,7 @@ def eigenvector(m: np.ndarray, lam: complex) -> np.ndarray:
     """Unit right eigenvector for a computed eigenvalue, by shifted inverse iteration.
 
     The residual contract is ||(m - lam I) v|| <= 1e-6 ||m||; stagnation above
-    that raises :class:`ConvergenceError` with the best iterate attached.
+    that raises :class:`ConvergenceError` naming the best residual reached.
     """
     m = _require_square(m)
     n = m.shape[0]
@@ -183,7 +183,6 @@ def eigenvector(m: np.ndarray, lam: complex) -> np.ndarray:
         lu, piv = _lu_factor_quiet(a)
     v = _start_vector(_EIGVEC_KEY, n)
     tol = 1e-6 * max(scale, 1e-300)
-    best = v
     best_res = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_EIGVEC_MAX_ITER):
@@ -193,13 +192,7 @@ def eigenvector(m: np.ndarray, lam: complex) -> np.ndarray:
                 break
             v = w / nw
             res = float(np.linalg.norm(m @ v - lam * v))
-            if res < best_res:
-                best, best_res = v, res
             if res <= tol:
                 return v
-    if best_res <= tol:
-        return best
-    raise ConvergenceError(
-        f"inverse iteration stagnated at residual {best_res:.3e} (tol {tol:.3e})",
-        partial=best,
-    )
+            best_res = min(best_res, res)
+    raise ConvergenceError(f"inverse iteration stagnated at residual {best_res:.3e} (tol {tol:.3e})")

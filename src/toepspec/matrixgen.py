@@ -17,7 +17,16 @@ from .errors import ConfigError, DomainError, ShapeError, UnderflowError
 from .symbol import LaurentSymbol
 
 NOISE_KINDS = ("complex_gaussian", "real_gaussian", "rademacher", "uniform_pm")
-PERT_KINDS = ("none", "poly", "exp", "superexp", "macro")
+# perturbation kind -> its one field, the open interval the field must lie
+# in, and the coupling delta_N as a function of (field value, N)
+_PERT_RULES = {
+    "none": (None, None, None, None),
+    "poly": ("gamma", -math.inf, math.inf, lambda g, n: float(n) ** -g),
+    "exp": ("r", 0.0, 1.0, lambda r, n: r**n),
+    "superexp": ("c", 0.0, math.inf, lambda c, n: math.exp(-c * n * math.log(n)) if n > 1 else 1.0),
+    "macro": ("sigma", 0.0, math.inf, lambda s, n: s / math.sqrt(n)),
+}
+PERT_KINDS = tuple(_PERT_RULES)
 MATRIX_KINDS = ("toeplitz", "circulant", "perturbed")
 
 _MASK64 = (1 << 64) - 1
@@ -62,7 +71,7 @@ class PerturbationSpec:
 
     kinds: ``none``; ``poly`` delta = n^-gamma; ``exp`` delta = r^n;
     ``superexp`` delta = exp(-c n log n); ``macro`` delta = sigma n^{-1/2}.
-    Only the parameter of the chosen kind is read.
+    A kind takes exactly its own field (none for ``none``).
     """
 
     kind: str = "none"
@@ -74,43 +83,32 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.kind not in PERT_KINDS:
             raise ConfigError(f"unknown perturbation kind {self.kind!r}; choose from {PERT_KINDS}")
+        own, lo, hi, _ = _PERT_RULES[self.kind]
         for name in ("gamma", "r", "c", "sigma"):
             val = getattr(self, name)
+            if val is not None and name != own:
+                raise ConfigError(f"{self.kind} perturbation takes no field {name}")
             if val is not None and not is_real(val):
                 raise ConfigError(f"perturbation field {name} must be a finite number, got {val!r}")
-        if self.kind == "poly" and (self.gamma is None):
-            raise ConfigError("poly perturbation needs gamma")
-        if self.kind == "exp" and (self.r is None or not 0 < self.r < 1):
-            raise ConfigError("exp perturbation needs r in (0, 1)")
-        if self.kind == "superexp" and (self.c is None or self.c <= 0):
-            raise ConfigError("superexp perturbation needs c > 0")
-        if self.kind == "macro" and (self.sigma is None or self.sigma <= 0):
-            raise ConfigError("macro perturbation needs sigma > 0")
+        if own is not None:
+            val = getattr(self, own)
+            if val is None or not lo < val < hi:
+                raise ConfigError(f"{self.kind} perturbation needs {own} in ({lo:g}, {hi:g})")
 
     def coupling(self, n: int) -> float:
         if n < 1:
             raise DomainError("matrix size must be positive")
-        if self.kind == "none":
+        own, _, _, delta_n = _PERT_RULES[self.kind]
+        if own is None:
             return 0.0
-        if self.kind == "poly":
-            delta = float(n) ** -self.gamma
-        elif self.kind == "exp":
-            delta = self.r**n
-        elif self.kind == "superexp":
-            delta = math.exp(-self.c * n * math.log(n)) if n > 1 else 1.0
-        else:
-            delta = self.sigma / math.sqrt(n)
+        delta = delta_n(getattr(self, own), n)
         if delta <= 0.0:
             raise UnderflowError(f"coupling for kind={self.kind!r} underflowed at n={n}")
         return delta
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for name in ("gamma", "r", "c", "sigma"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        return out
+        own = _PERT_RULES[self.kind][0]
+        return {"kind": self.kind} if own is None else {"kind": self.kind, own: getattr(self, own)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PerturbationSpec":
@@ -133,15 +131,10 @@ class PerturbationSpec:
             x = float(val)
         except ValueError as exc:
             raise ConfigError(f"cannot parse perturbation {text!r}") from exc
-        if kind == "poly":
-            return cls("poly", gamma=x)
-        if kind == "exp":
-            return cls("exp", r=x)
-        if kind == "superexp":
-            return cls("superexp", c=x)
-        if kind == "macro":
-            return cls("macro", sigma=x)
-        raise ConfigError(f"unknown perturbation kind {kind!r}")
+        own = _PERT_RULES.get(kind, (None,))[0]
+        if own is None:
+            raise ConfigError(f"unknown perturbation kind {kind!r}")
+        return cls(kind, **{own: x})
 
 
 def toeplitz(symbol: LaurentSymbol, n: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ShapeError, SizeLimitError
 from .linalg import smallest_singular
-from .svgplot import render_svg
+from .svgplot import write_contour
 
 MAX_GRID_NODES = 4_000_000
 
@@ -176,8 +176,7 @@ def write_contour_svg(field: ScalarField, levels, path, title: str) -> None:
     """
     lines = [(lv, poly) for lv, polys in zip(levels, contour_lines(field, levels)) for poly in polys]
     g = field.grid
-    data = {"lines": lines, "box": (g.re_min, g.re_max, g.im_min, g.im_max)}
-    Path(path).write_text(render_svg("contour", data, {"title": title}), encoding="utf-8")
+    write_contour(path, lines, (g.re_min, g.re_max, g.im_min, g.im_max), title)
 
 
 def write_field_csv(field: ScalarField, path) -> None:

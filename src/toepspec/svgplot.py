@@ -1,18 +1,17 @@
-"""Minimal deterministic SVG rendering: scatter, contour, histogram.
+"""Minimal deterministic SVG figures: a spectrum over its symbol curve, and level lines.
 
 No plotting dependency; output is a pure function of the input data, so two
-renders of the same data are byte-identical.  Fixed 800 x 800 canvas with
+writes of the same data are byte-identical.  Fixed 800 x 800 canvas with
 labeled axes and 3-significant-digit tick labels.
 """
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyDataError, ShapeError
+from .errors import EmptyDataError
 
 CANVAS = 800
 MARGIN = 80
@@ -51,7 +50,8 @@ class _Frame:
         # SVG y grows downward
         return CANVAS - MARGIN - self.span * (y - self.y_min) / (self.y_max - self.y_min)
 
-    def axes(self, xlabel: str, ylabel: str, title: str) -> list[str]:
+    def axes(self, title: str) -> list[str]:
+        """The frame, five ticks per axis, the labels Re and Im, and the title."""
         parts = [
             f'<rect x="{MARGIN}" y="{MARGIN}" width="{self.span}" height="{self.span}" '
             'fill="none" stroke="black" stroke-width="1"/>'
@@ -78,11 +78,11 @@ class _Frame:
             )
         parts.append(
             f'<text x="{CANVAS // 2}" y="{CANVAS - 20}" font-size="14" '
-            f'text-anchor="middle">{xlabel}</text>'
+            'text-anchor="middle">Re</text>'
         )
         parts.append(
             f'<text x="22" y="{CANVAS // 2}" font-size="14" text-anchor="middle" '
-            f'transform="rotate(-90 22 {CANVAS // 2})">{ylabel}</text>'
+            f'transform="rotate(-90 22 {CANVAS // 2})">Im</text>'
         )
         if title:
             parts.append(
@@ -111,74 +111,38 @@ def _path(frame: _Frame, pts, close: bool = False) -> str:
     return " ".join(cmds)
 
 
-def _as_xy(points) -> list[tuple[float, float]]:
-    out = []
-    for p in points:
-        if isinstance(p, (tuple, list)):
-            out.append((float(p[0]), float(p[1])))
-        else:
-            c = complex(p)
-            out.append((c.real, c.imag))
-    return out
-
-
-def render_svg(kind: str, data: dict, style: dict | None = None) -> str:
-    """Render one figure; see the per-kind data contracts in the body."""
-    style = dict(style or {})
-    if kind == "scatter":
-        return _render_scatter(data, style)
-    if kind == "contour":
-        return _render_contour(data, style)
-    if kind == "histogram":
-        return _render_histogram(data, style)
-    raise ShapeError(f"unknown plot kind {kind!r}")
-
-
 def write_scatter(path, points, curve, title: str) -> None:
-    """Points over a closed curve (a spectrum over its symbol curve), as an SVG file."""
-    svg = render_svg("scatter", {"points": points, "curve": curve}, {"title": title})
-    Path(path).write_text(svg, encoding="utf-8")
+    """Points over a closed curve (a spectrum over its symbol curve), as an SVG file.
 
-
-def _render_scatter(data: dict, style: dict) -> str:
-    """data: points (complex or (x, y)); optional curve, extra_curves, circles (radii)."""
-    points = _as_xy(data.get("points", []))
-    if not points:
+    Both are complex sequences; an empty point set raises EmptyDataError.
+    """
+    points = np.asarray(points, dtype=complex)
+    curve = np.asarray(curve, dtype=complex)
+    if points.size == 0:
         raise EmptyDataError("scatter needs at least one point")
-    curves = []
-    if data.get("curve") is not None:
-        curves.append(_as_xy(data["curve"]))
-    for extra in data.get("extra_curves", []):
-        curves.append(_as_xy(extra))
-    circles = [float(r) for r in data.get("circles", [])]
-    xs = [p[0] for p in points] + [p[0] for c in curves for p in c] + [r for r in circles] + [-r for r in circles]
-    ys = [p[1] for p in points] + [p[1] for c in curves for p in c] + [r for r in circles] + [-r for r in circles]
-    frame = _Frame(xs, ys)
-    body = frame.axes(style.get("xlabel", "Re"), style.get("ylabel", "Im"), style.get("title", ""))
-    for c in curves:
-        body.append(f'<path d="{_path(frame, c, close=True)}" fill="none" stroke="black" stroke-width="1.2"/>')
-    for r in circles:
-        arc = [(r * math.cos(t), r * math.sin(t)) for t in np.linspace(0, 2 * math.pi, 181)]
-        body.append(f'<path d="{_path(frame, arc)}" fill="none" stroke="gray" stroke-dasharray="4,3"/>')
-    rad = style.get("point_radius", 2.2)
-    for x, y in points:
+    xs, ys, curve_xs, curve_ys = (a.tolist() for a in (points.real, points.imag, curve.real, curve.imag))
+    frame = _Frame(xs + curve_xs, ys + curve_ys)
+    body = frame.axes(title)
+    curve_d = _path(frame, zip(curve_xs, curve_ys), close=True)
+    body.append(f'<path d="{curve_d}" fill="none" stroke="black" stroke-width="1.2"/>')
+    for x, y in zip(xs, ys):
         body.append(
-            f'<circle cx="{_fmt(frame.px(x))}" cy="{_fmt(frame.py(y))}" r="{rad}" '
+            f'<circle cx="{_fmt(frame.px(x))}" cy="{_fmt(frame.py(y))}" r="2.2" '
             'fill="royalblue" fill-opacity="0.8"/>'
         )
-    return _document(body)
+    Path(path).write_text(_document(body), encoding="utf-8")
 
 
-def _render_contour(data: dict, style: dict) -> str:
-    """data: lines = [(level, polyline)], each polyline a list of (x, y); optional points;
-    optional box = (x_min, x_max, y_min, y_max), the extent drawn when there are neither."""
-    lines = data.get("lines", [])
-    points = _as_xy(data.get("points", []))
-    box = data.get("box", ())
-    xs = [p[0] for _, poly in lines for p in poly] + [p[0] for p in points] or list(box[:2])
-    ys = [p[1] for _, poly in lines for p in poly] + [p[1] for p in points] or list(box[2:])
+def write_contour(path, lines, box, title: str) -> None:
+    """Level lines as an SVG file: lines = [(level, polyline)], each polyline a list of (x, y).
+
+    The extent is that of the lines, or box = (x_min, x_max, y_min, y_max)
+    when there is no line; a polyline of fewer than two vertices is not drawn.
+    """
+    xs = [x for _, poly in lines for x, _ in poly] or list(box[:2])
+    ys = [y for _, poly in lines for _, y in poly] or list(box[2:])
     frame = _Frame(xs, ys)
-    body = frame.axes(style.get("xlabel", "Re"), style.get("ylabel", "Im"), style.get("title", ""))
+    body = frame.axes(title)
     for level, poly in lines:
         if len(poly) < 2:
             continue
@@ -186,27 +150,4 @@ def _render_contour(data: dict, style: dict) -> str:
             f'<path d="{_path(frame, poly)}" fill="none" stroke="crimson" '
             f'stroke-width="1" data-level="{_fmt(level)}"/>'
         )
-    for x, y in points:
-        body.append(
-            f'<circle cx="{_fmt(frame.px(x))}" cy="{_fmt(frame.py(y))}" r="2" fill="black"/>'
-        )
-    return _document(body)
-
-
-def _render_histogram(data: dict, style: dict) -> str:
-    """data: values (reals), optional bins (default 40)."""
-    values = np.asarray(data.get("values", []), dtype=float)
-    if values.size == 0:
-        raise EmptyDataError("histogram needs values")
-    bins = int(data.get("bins", 40))
-    counts, edges = np.histogram(values, bins=bins)
-    frame = _Frame(edges, [0.0, float(max(counts.max(), 1))])
-    body = frame.axes(style.get("xlabel", "value"), style.get("ylabel", "count"), style.get("title", ""))
-    for k in range(bins):
-        x0, x1 = frame.px(edges[k]), frame.px(edges[k + 1])
-        y0, y1 = frame.py(0.0), frame.py(float(counts[k]))
-        body.append(
-            f'<rect x="{_fmt(x0)}" y="{_fmt(y1)}" width="{_fmt(max(x1 - x0 - 1, 0.5))}" '
-            f'height="{_fmt(max(y0 - y1, 0.0))}" fill="steelblue" stroke="none"/>'
-        )
-    return _document(body)
+    Path(path).write_text(_document(body), encoding="utf-8")

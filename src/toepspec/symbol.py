@@ -39,7 +39,7 @@ _BOUNDARY_TOL = 1e-9
 
 
 class LaurentSymbol:
-    """A Laurent polynomial with tight support band [-nminus, nplus].
+    """A Laurent polynomial with tight support band [kmin, kmax].
 
     Zero coefficients are dropped, so the stored support endpoints always
     carry nonzero coefficients.  Constant symbols are rejected: the matrices
@@ -60,23 +60,13 @@ class LaurentSymbol:
         self.kmax = max(items)
 
     @property
-    def nplus(self) -> int:
-        """Upper support endpoint N_+ (may be negative)."""
-        return self.kmax
-
-    @property
-    def nminus(self) -> int:
-        """Lower support endpoint N_- in a_{-N_-} (may be negative)."""
-        return -self.kmin
-
-    @property
     def nplus_eff(self) -> int:
-        """max(N_+, 0): the upper band width once the spectral shift -z is included."""
+        """max(kmax, 0): the upper band width once the spectral shift -z is included."""
         return max(self.kmax, 0)
 
     @property
     def nminus_eff(self) -> int:
-        """max(N_-, 0): the lower band width once the spectral shift -z is included."""
+        """max(-kmin, 0): the lower band width once the spectral shift -z is included."""
         return max(-self.kmin, 0)
 
     @property

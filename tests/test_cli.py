@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from toepspec.cli import main, render_svg
+from toepspec import matrixgen, measures
+from toepspec.cli import main
 from toepspec.errors import EmptyDataError
+from toepspec.svgplot import write_contour, write_scatter
 
 
 class TestSpectrumCommand:
@@ -167,8 +169,9 @@ def _params(scenario, **params):
         ({"scenario": "pseudospec_map", "params": {"grid": _GRID_NO_NY}}, 1, "grid"),
         ({"scenario": "macro", "pert": {"kind": "macro", "sigma": 1e308}}, 2, "mean_abs2"),
         ({"scenario": "pairing", "n": 20.7}, 1, "n must be a positive integer"),
-        (_params("lsd_subexp", quadrature_n=10), 1, "param quadrature_n"),
-        (_params("no_outlier", quadrature_n=10), 1, "param quadrature_n"),
+        (_params("lsd_subexp", quadrature_n=10), 1, "quadrature_n"),
+        (_params("no_outlier", quadrature_n=10), 1, "quadrature_n"),
+        ({"scenario": "macro", "pert": {"kind": "macro", "sigma": 1.0, "gamma": 2, "r": 5.0}}, 1, "takes no field"),
         (_params("pseudospec_map", grid=_GRID, levels=[-1.0, 0.1]), 1, "param levels"),
         (_params("pseudospec_map", grid=_GRID, levels=[0.1, 0.1]), 1, "param levels"),
         (_params("pseudospec_map", grid=_GRID, levels=[]), 1, "param levels"),
@@ -197,6 +200,7 @@ def _params(scenario, **params):
         "fractional_n",
         "short_quadrature_lsd_subexp",
         "short_quadrature_no_outlier",
+        "macro_pert_with_foreign_fields",
         "negative_level",
         "duplicate_level",
         "no_level",
@@ -277,24 +281,55 @@ class TestListCommand:
 
 
 class TestRenderSvg:
-    def test_scatter_has_point_elements(self):
-        svg = render_svg("scatter", {"points": [1, 1j, -1, -1j], "curve": [1, 1j, -1, -1j]})
-        assert svg.count("<circle") == 4
-        assert "<path" in svg
+    """The two SVG writers: eigenvalues over a curve, and level lines."""
 
-    def test_contour_single_path(self):
+    def test_scatter_has_point_elements(self, tmp_path):
+        write_scatter(tmp_path / "s.svg", [1, 1j, -1, -1j, 0.5], [1, 1j, -1, -1j], "t")
+        svg = (tmp_path / "s.svg").read_text()
+        assert svg.count("<circle") == 5
+        assert svg.count("<path") == 1 and " Z" in svg
+
+    def test_contour_single_path(self, tmp_path):
+        # one path per polyline of two or more vertices
         square = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
-        svg = render_svg("contour", {"lines": [(0.5, square)]})
-        assert svg.count("data-level") == 1
+        inner = [(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)]
+        write_contour(tmp_path / "c.svg", [(0.5, square), (0.5, inner), (0.9, [(0.5, 0.5)])], (), "t")
+        svg = (tmp_path / "c.svg").read_text()
+        assert svg.count("data-level") == 2 and svg.count('data-level="0.5"') == 2
 
-    def test_histogram(self):
-        svg = render_svg("histogram", {"values": [0.1, 0.2, 0.2, 0.9], "bins": 4})
-        assert svg.count("<rect") >= 4
+    def test_contour_without_lines_frames_its_box(self, tmp_path):
+        write_contour(tmp_path / "c.svg", [], (-1.0, 3.0, -2.0, 2.0), "t")
+        svg = (tmp_path / "c.svg").read_text()
+        assert "data-level" not in svg
+        # the box padded by 5 % per side sets the outer tick labels
+        for tick in ("-1.2", "3.2", "-2.2", "2.2"):
+            assert f">{tick}</text>" in svg
 
-    def test_deterministic(self):
-        data = {"points": [0.3 + 0.1j, -0.2j], "circles": [1.0]}
-        assert render_svg("scatter", data) == render_svg("scatter", data)
+    def test_deterministic(self, tmp_path):
+        for name in ("a.svg", "b.svg"):
+            write_scatter(tmp_path / name, [0.3 + 0.1j, -0.2j], [1, 1j, -1], "t")
+        assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
-    def test_empty_rejected(self):
+    def test_empty_rejected(self, tmp_path):
         with pytest.raises(EmptyDataError):
-            render_svg("scatter", {"points": []})
+            write_scatter(tmp_path / "s.svg", [], [1, 1j, -1], "t")
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("command", ["spectrum", "pseudospectrum"])
+    def test_out_of_memory_exits_one(self, monkeypatch, capsys, command):
+        # the matrix build raises as numpy does when it cannot allocate; nothing is allocated
+        def no_memory(symbol, n):
+            raise MemoryError(f"Unable to allocate an array with shape ({n}, {n})")
+
+        monkeypatch.setattr(matrixgen, "toeplitz", no_memory)
+        assert main([command, "--symbol=-1:1", "--n", "1000000"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory")
+
+    def test_assignment_cap_is_a_configuration_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(measures, "MATCH_MAX_POINTS", 10)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**_TWO_SIDED, "scenario": "pairing", "pert": {"kind": "poly", "gamma": 1}}))
+        assert main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: assignment capped at 10 points")

@@ -58,8 +58,6 @@ def _param_value(name, default):
         good = st.booleans()
     elif isinstance(default, str):
         good = st.sampled_from([*MATRIX_KINDS, "bogus"])
-    elif name == "quadrature_n":
-        good = st.sampled_from([10, 256, 512])
     elif isinstance(default, int):
         good = st.integers(-1, 3) | st.sampled_from([2.0, 2.5])
     else:

@@ -161,18 +161,14 @@ class TestPerturbedBlocks:
 class TestTruncatedLogdet:
     def test_diagonal_example(self):
         t = truncated_logdet(np.diag([0.1, 2.0, 3.0]), alpha=1.0)
-        assert not t.empty
-        assert t.value == pytest.approx(math.log(6) / 3, rel=1e-12)
+        assert t == pytest.approx(math.log(6) / 3, rel=1e-12)
 
     def test_identity_below_threshold(self):
-        t = truncated_logdet(np.eye(5), alpha=0.5)
-        assert t.value == pytest.approx(0.0, abs=1e-14)
-        assert not t.empty
+        assert truncated_logdet(np.eye(5), alpha=0.5) == pytest.approx(0.0, abs=1e-14)
 
-    def test_empty_sum_flag(self):
+    def test_empty_sum_is_zero(self):
         t = truncated_logdet(np.eye(5), alpha=2.0)
-        assert t.value == 0.0
-        assert t.empty
+        assert type(t) is float and t == 0.0
 
 
 class TestEquivalenceGap:

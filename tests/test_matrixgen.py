@@ -187,6 +187,16 @@ class TestPerturbationSpec:
         with pytest.raises(ConfigError):
             PerturbationSpec("poly")
 
+    def test_takes_only_its_own_field(self):
+        foreign = [("macro", {"sigma": 1.0, "r": 5.0}), ("none", {"gamma": 2}), ("exp", {"r": 0.5, "c": 1.0})]
+        for kind, fields in foreign:
+            with pytest.raises(ConfigError, match=f"{kind} perturbation takes no field"):
+                PerturbationSpec(kind, **fields)
+        own = {"poly:2": {"gamma": 2.0}, "exp:0.5": {"r": 0.5}, "superexp:1": {"c": 1.0}, "macro:0.5": {"sigma": 0.5}}
+        for text, want in [*own.items(), ("none", {})]:
+            spec = PerturbationSpec.parse(text)
+            assert spec.to_dict() == {"kind": spec.kind, **want}
+
     def test_dict_roundtrip(self):
         spec = PerturbationSpec("exp", r=0.25)
         assert PerturbationSpec.from_dict(spec.to_dict()) == spec

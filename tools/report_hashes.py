@@ -89,6 +89,10 @@ def configs() -> dict:
         "eigvec_outlier": _cfg("eigvec_outlier", n=40, trials=3),
         "grushin": _cfg("grushin", symbol="-1:1;1:1", n=60, pert={"kind": "poly", "gamma": 3}, trials=3),
         "pseudospec_map": _cfg("pseudospec_map", n=30, trials=1, grid={**GRID, "nx": 9, "ny": 7}),
+        # every level above the field: contours.svg is the bare grid box
+        "pseudospec_empty": _cfg(
+            "pseudospec_map", n=30, trials=1, grid={**GRID, "nx": 9, "ny": 7}, levels=[50.0, 100.0]
+        ),
         "pseudospec_circ": _cfg(
             "pseudospec_map", n=8, trials=1, matrix="circulant", oracle=True,
             grid={**GRID, "nx": 21, "ny": 21}, levels=[0.1, 0.3],
