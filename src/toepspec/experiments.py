@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import eigloc, grushin, linalg, matrixgen, measures, pseudospec, svgplot
-from .errors import BoundaryError, ConfigError, NonFiniteError, OnCurveError, ToepspecError
+from .errors import BoundaryError, ConfigError, NonFiniteError, OnCurveError, SizeLimitError, ToepspecError
 from .matrixgen import NoiseSpec, PerturbationSpec, is_real, task_seed
 from .symbol import (
     LaurentSymbol,
@@ -562,8 +562,10 @@ def _run_outlier_count(ens: TrialEnsemble, params: dict, out_dir):
     {"p": 1.0, "cost_tol": 0.1, "pass_frac": 0.9},
 )
 def _run_pairing(ens: TrialEnsemble, params: dict, out_dir):
+    if ens.cfg.n > measures.MATCH_MAX_POINTS:
+        # each assignment pairs n eigenvalues: refuse before any matrix is built
+        raise SizeLimitError(f"assignment capped at {measures.MATCH_MAX_POINTS} points")
     targets = curve_samples(ens.sym, ens.cfg.n)
-    # trial by trial, so a size over the assignment cap stops after one solve
     costs = [measures.match_cost(ens.eigs(t), targets, params["p"]) for t in range(ens.cfg.trials)]
     ok_frac = float(np.mean([c <= params["cost_tol"] for c in costs]))
     metrics = {"match_costs": costs, "cost_max": max(costs), "ok_frac": ok_frac}

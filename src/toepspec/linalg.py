@@ -7,18 +7,48 @@ convention s_1 <= ... <= s_n.  The heavy factorizations delegate to
 LAPACK through numpy/scipy; the smallest-singular-value fast path is a
 two-sided inverse iteration with LU reuse, falling back to a full SVD when
 it stagnates.  All kernels are reentrant and deterministic.
+
+Importing this module runs both bundled OpenBLAS copies on one thread: at
+the sizes met here (n = 50-500) extra BLAS threads cost more than they
+give, and one thread makes every result independent of the core count and
+of OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 
 from .errors import ConvergenceError, ShapeError
+
+
+def _one_blas_thread() -> None:
+    """Set numpy's and scipy's bundled OpenBLAS to one thread; skip a copy that is not found."""
+    for package, libdir, pattern, symbol in (
+        (np, "numpy.libs", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+        (scipy, "scipy.libs", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
+    ):
+        base = Path(package.__file__).resolve().parent.parent / libdir
+        for path in sorted(glob.glob(str(base / pattern))):
+            try:
+                fn = getattr(ctypes.CDLL(path), symbol)
+            except (OSError, AttributeError):
+                continue
+            fn.argtypes = [ctypes.c_int]
+            fn.restype = None
+            fn(1)
+            break
+
+
+_one_blas_thread()
 
 
 def _lu_factor_quiet(a):
@@ -120,7 +150,9 @@ def smallest_singular(m: np.ndarray) -> float:
 
     Exactly singular matrices return 0.  Stagnation falls back to the full
     SVD, so the result always agrees with :func:`svd` up to the iteration
-    tolerance.
+    tolerance.  So does slow contraction: from the third iterate on, once the
+    observed step ratio d_k / d_{k-1} (d_k = |s_k - s_{k-1}|) cannot bring the
+    step under the tolerance by the last iterate, the SVD is taken at once.
     """
     m = _require_square(m)
     n = m.shape[0]
@@ -139,9 +171,9 @@ def smallest_singular(m: np.ndarray) -> float:
     if diag.min() == 0.0:
         return 0.0
     v = _start_vector(_SMIN_KEY, n)
-    s_prev = math.inf
+    s_prev = d_prev = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_SMIN_MAX_ITER):
+        for k in range(_SMIN_MAX_ITER):
             u = sla.lu_solve((lu, piv), v, trans=0, check_finite=False)
             w = sla.lu_solve((lu, piv), u, trans=2, check_finite=False)
             nw = np.linalg.norm(w)
@@ -152,9 +184,14 @@ def smallest_singular(m: np.ndarray) -> float:
                 return float(svd(m).singular_values[0])
             f = w / nw
             s_est = float(np.linalg.norm(m.conj().T @ f))
-            if abs(s_est - s_prev) <= _SMIN_RTOL * max(s_est, 1e-300):
+            d = abs(s_est - s_prev)
+            tol = _SMIN_RTOL * max(s_est, 1e-300)
+            if d <= tol:
                 return s_est
-            s_prev = s_est
+            # geometric contraction projected over the iterates left
+            if k >= 2 and (d >= d_prev or d * (d / d_prev) ** (_SMIN_MAX_ITER - 1 - k) > tol):
+                break
+            s_prev, d_prev = s_est, d
             v = f
     return float(svd(m).singular_values[0])
 

@@ -131,9 +131,11 @@ class PerturbationSpec:
             x = float(val)
         except ValueError as exc:
             raise ConfigError(f"cannot parse perturbation {text!r}") from exc
-        own = _PERT_RULES.get(kind, (None,))[0]
-        if own is None:
+        if kind not in _PERT_RULES:
             raise ConfigError(f"unknown perturbation kind {kind!r}")
+        own = _PERT_RULES[kind][0]
+        if own is None:
+            raise ConfigError(f"{kind} perturbation takes no value")
         return cls(kind, **{own: x})
 
 

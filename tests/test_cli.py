@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toepspec import matrixgen, measures
+import toepspec
+from toepspec import linalg, matrixgen, measures
 from toepspec.cli import main
 from toepspec.errors import EmptyDataError
 from toepspec.svgplot import write_contour, write_scatter
@@ -130,6 +135,34 @@ class TestRunCommand:
         assert report["pass"] == {"nesting": True, "normal_oracle": True}
         assert "data-level" not in (out_dir / "contours.svg").read_text()
 
+    def test_report_bytes_do_not_depend_on_blas_threads(self, tmp_path, monkeypatch):
+        # this config's report bytes differ between one and two OpenBLAS
+        # threads unless the package pins the thread count
+        config = {
+            "scenario": "eigvec_outlier",
+            "symbol": "-1:1",
+            "n": 40,
+            "pert": {"kind": "poly", "gamma": 2},
+            "noise": "complex_gaussian",
+            "trials": 3,
+            "seed": 7,
+            "params": {},
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        here = tmp_path / "here"
+        here.mkdir()
+        monkeypatch.chdir(here)
+        assert main(["run", str(cfg_path), "--out-dir", "out"]) == 0
+        src = str(Path(toepspec.__file__).resolve().parent.parent)
+        argv = [sys.executable, "-m", "toepspec.cli", "run", str(cfg_path), "--out-dir", "out"]
+        for threads in ("1", "2"):
+            fresh = tmp_path / f"threads{threads}"
+            fresh.mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            subprocess.run(argv, cwd=fresh, env=env, capture_output=True, check=True)
+            assert (fresh / "out" / "report.json").read_bytes() == (here / "out" / "report.json").read_bytes()
+
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
 
@@ -249,6 +282,7 @@ _PSEUDO = ["pseudospectrum", "--symbol", "-1:1", "--n", "4", "--nx", "5", "--ny"
         ([*_PSEUDO, "--re-min", "3"], "param grid"),
         ([*_PSEUDO, "--nx", "3000", "--ny", "3000"], "param grid"),
         ([*_PSEUDO, "--im-max", "nan"], "param grid.im_max"),
+        ([*_SPECTRUM, "--pert", "none:3"], "none perturbation takes no value"),
     ],
     ids=[
         "nan_symbol",
@@ -263,6 +297,7 @@ _PSEUDO = ["pseudospectrum", "--symbol", "-1:1", "--n", "4", "--nx", "5", "--ny"
         "inverted_grid_bounds",
         "grid_over_node_guard",
         "nan_grid_bound",
+        "none_pert_with_value",
     ],
 )
 def test_malformed_flag_ends_in_one_line(tmp_path, monkeypatch, capsys, argv, needle):
@@ -329,7 +364,11 @@ class TestSizeLimits:
 
     def test_assignment_cap_is_a_configuration_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(measures, "MATCH_MAX_POINTS", 10)
+        solved = []
+        monkeypatch.setattr(linalg, "eigenvalues", lambda m: solved.append(m))
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**_TWO_SIDED, "scenario": "pairing", "pert": {"kind": "poly", "gamma": 1}}))
         assert main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: assignment capped at 10 points")
+        # the cap is known from n alone: no trial is solved first
+        assert solved == []

@@ -1,9 +1,17 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import toepspec
 from helpers import ks_distance
+from toepspec import linalg
 from toepspec.errors import ShapeError
 from toepspec.linalg import (
     LogDet,
@@ -13,7 +21,7 @@ from toepspec.linalg import (
     smallest_singular,
     svd,
 )
-from toepspec.matrixgen import circulant, corner, jordan, toeplitz
+from toepspec.matrixgen import NoiseSpec, PerturbationSpec, circulant, corner, jordan, perturbed, toeplitz
 from toepspec.measures import match_cost
 from toepspec.symbol import curve_samples, parse_symbol
 
@@ -152,6 +160,79 @@ class TestSmallestSingular:
     def test_near_singular(self):
         m = np.diag([1.0, 1e-13]).astype(complex)
         assert smallest_singular(m) == pytest.approx(1e-13, rel=1e-6)
+
+
+class TestSminEarlyExit:
+    N = 50
+
+    @pytest.fixture
+    def solve_pairs(self, monkeypatch):
+        """Counts the (A, A*) lu_solve pairs that smallest_singular makes."""
+        calls = []
+        real = linalg.sla.lu_solve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg.sla, "lu_solve", counted)
+        return lambda: len(calls) // 2
+
+    def shifted(self, z):
+        m = perturbed(parse_symbol("-1:1"), self.N, PerturbationSpec("poly", gamma=2.0), NoiseSpec(), 1)
+        return z * np.eye(self.N) - m
+
+    def test_slow_contraction_takes_the_svd_early(self, solve_pairs):
+        # outside the Jordan curve s_min and s_2 nearly tie ((s_1/s_2)^2 = 0.94
+        # per iterate), so the iteration would crawl through all its iterates
+        # before falling back
+        a = self.shifted(1.5)
+        s = smallest_singular(a)
+        assert solve_pairs() <= 8
+        assert s == float(np.linalg.svd(a, compute_uv=False)[-1])
+
+    def test_fast_contraction_returns_the_iterate(self, solve_pairs):
+        a = self.shifted(0.3)
+        s = smallest_singular(a)
+        assert solve_pairs() == 3
+        assert s == pytest.approx(float(np.linalg.svd(a, compute_uv=False)[-1]), rel=1e-9)
+
+
+_OPENBLAS_THREADS = textwrap.dedent(
+    """
+    import ctypes, glob, json
+    from pathlib import Path
+
+    import toepspec.symbol
+    import numpy, scipy
+
+    def threads(package, libdir, pattern, symbol):
+        base = Path(package.__file__).resolve().parent.parent / libdir
+        for path in sorted(glob.glob(str(base / pattern))):
+            try:
+                fn = getattr(ctypes.CDLL(path), symbol)
+            except (OSError, AttributeError):
+                continue
+            fn.restype = ctypes.c_int
+            return fn()
+        return None
+
+    print(json.dumps([
+        threads(numpy, "numpy.libs", "libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"),
+        threads(scipy, "scipy.libs", "libscipy_openblas-*.so", "scipy_openblas_get_num_threads"),
+    ]))
+    """
+)
+
+
+def test_bare_import_runs_openblas_on_one_thread():
+    src = str(Path(toepspec.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _OPENBLAS_THREADS], env=env, capture_output=True, text=True, check=True)
+    counts = json.loads(out.stdout)
+    if None in counts:
+        pytest.skip(f"a bundled OpenBLAS copy was not found: {counts}")
+    assert counts == [1, 1]
 
 
 class TestEigenvector:

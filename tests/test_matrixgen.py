@@ -180,6 +180,8 @@ class TestPerturbationSpec:
             PerturbationSpec.parse("poly")
         with pytest.raises(ConfigError):
             PerturbationSpec.parse("weird:1")
+        with pytest.raises(ConfigError, match="none perturbation takes no value"):
+            PerturbationSpec.parse("none:3")
 
     def test_validation(self):
         with pytest.raises(ConfigError):
