@@ -4,9 +4,11 @@ Determinants are always carried as (log magnitude, unit phase) pairs: the
 determinants met here span thousands of orders of magnitude, so they are
 never exponentiated internally.  Singular values follow the nondecreasing
 convention s_1 <= ... <= s_n.  The heavy factorizations delegate to
-LAPACK through numpy/scipy; the smallest-singular-value fast path is a
-two-sided inverse iteration with LU reuse, falling back to a full SVD when
-it stagnates.  All kernels are reentrant and deterministic.
+LAPACK through numpy/scipy; the LU kernels call zgetrf/zgetrs directly,
+without scipy's per-call wrapper.  Up to SMIN_DIRECT_MAX_N the smallest
+singular value is the last one of a direct SVD; above it, a two-sided
+inverse iteration with LU reuse, falling back to a full SVD when it
+stagnates.  All kernels are reentrant and deterministic.
 
 Importing this module runs both bundled OpenBLAS copies on one thread: at
 the sizes met here (n = 50-500) extra BLAS threads cost more than they
@@ -19,7 +21,6 @@ from __future__ import annotations
 import ctypes
 import glob
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,17 +52,28 @@ def _one_blas_thread() -> None:
 _one_blas_thread()
 
 
-def _lu_factor_quiet(a):
-    # exactly singular factors are an expected, handled branch here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        return sla.lu_factor(a, check_finite=False)
+_getrf, _getrs = sla.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+
+
+def _lu_factor(a):
+    """(lu, piv) of a copy of the complex matrix a; an exactly singular factor is returned silently."""
+    lu, piv, _ = _getrf(a)
+    return lu, piv
+
+
+def _lu_solve(lu, piv, b, trans=0):
+    """Solve with a factor from :func:`_lu_factor`: trans 0 solves a x = b, trans 2 a* x = b."""
+    return _getrs(lu, piv, b, trans=trans)[0]
 
 
 # Fixed Philox keys for the deterministic start vectors of the iterative kernels.
 _SMIN_KEY = 0x5EEDC0DE
 _EIGVEC_KEY = 0x5EEDBEEF
 
+# up to this size smallest_singular (and pseudospec.smin_field) take the
+# direct SVD: it beats factor-plus-iterate, and near-tied smallest singular
+# values (Voronoi boundaries of normal matrices) cannot stall an iteration
+SMIN_DIRECT_MAX_N = 24
 _SMIN_MAX_ITER = 50
 _SMIN_RTOL = 1e-10
 _EIGVEC_MAX_ITER = 50
@@ -94,7 +106,7 @@ def lu_logdet(m: np.ndarray) -> LogDet:
     m = _require_square(m)
     if m.shape[0] == 0:
         return LogDet(0.0, 1.0 + 0j)
-    lu, piv = _lu_factor_quiet(m)
+    lu, piv = _lu_factor(m)
     diag = np.diag(lu)
     if np.any(diag == 0):
         return LogDet(-math.inf, 0j)
@@ -158,24 +170,18 @@ def smallest_singular(m: np.ndarray) -> float:
     n = m.shape[0]
     if n == 1:
         return float(abs(m[0, 0]))
-    if n <= 24:
-        # at this size the direct SVD beats factor-plus-iterate, and near-tied
-        # smallest singular values (Voronoi boundaries of normal matrices)
-        # cannot stall the iteration
+    if n <= SMIN_DIRECT_MAX_N:
         return float(np.linalg.svd(m, compute_uv=False)[-1])
-    try:
-        lu, piv = _lu_factor_quiet(m)
-    except ValueError:
-        return float(svd(m).singular_values[0])
-    diag = np.abs(np.diag(lu))
-    if diag.min() == 0.0:
+    lu, piv = _lu_factor(m)
+    if np.abs(np.diag(lu)).min() == 0.0:
         return 0.0
+    mh = m.conj().T
     v = _start_vector(_SMIN_KEY, n)
     s_prev = d_prev = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(_SMIN_MAX_ITER):
-            u = sla.lu_solve((lu, piv), v, trans=0, check_finite=False)
-            w = sla.lu_solve((lu, piv), u, trans=2, check_finite=False)
+            u = _lu_solve(lu, piv, v, trans=0)
+            w = _lu_solve(lu, piv, u, trans=2)
             nw = np.linalg.norm(w)
             if not np.isfinite(nw):
                 # the solve overflowed: numerically singular
@@ -183,7 +189,7 @@ def smallest_singular(m: np.ndarray) -> float:
             if nw == 0.0:
                 return float(svd(m).singular_values[0])
             f = w / nw
-            s_est = float(np.linalg.norm(m.conj().T @ f))
+            s_est = float(np.linalg.norm(mh @ f))
             d = abs(s_est - s_prev)
             tol = _SMIN_RTOL * max(s_est, 1e-300)
             if d <= tol:
@@ -208,22 +214,17 @@ def eigenvector(m: np.ndarray, lam: complex) -> np.ndarray:
     # contract is met without an extra O(n^3) norm computation per call
     scale = float(np.linalg.norm(m)) / math.sqrt(n)
     shift = complex(lam)
-    a = m - shift * np.eye(n)
-    try:
-        lu, piv = _lu_factor_quiet(a)
-        if np.abs(np.diag(lu)).min() == 0.0:
-            raise np.linalg.LinAlgError("exact singularity")
-    except (ValueError, np.linalg.LinAlgError):
-        # nudge off the exact eigenvalue so the factorization exists
+    lu, piv = _lu_factor(m - shift * np.eye(n))
+    if np.abs(np.diag(lu)).min() == 0.0:
+        # nudge off the exact eigenvalue so the factor is nonsingular
         shift = shift + 1e-13 * max(scale, 1.0)
-        a = m - shift * np.eye(n)
-        lu, piv = _lu_factor_quiet(a)
+        lu, piv = _lu_factor(m - shift * np.eye(n))
     v = _start_vector(_EIGVEC_KEY, n)
     tol = 1e-6 * max(scale, 1e-300)
     best_res = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_EIGVEC_MAX_ITER):
-            w = sla.lu_solve((lu, piv), v, trans=0, check_finite=False)
+            w = _lu_solve(lu, piv, v)
             nw = np.linalg.norm(w)
             if not np.isfinite(nw) or nw == 0.0:
                 break

@@ -12,10 +12,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeError, SizeLimitError
-from .linalg import smallest_singular
+from .linalg import SMIN_DIRECT_MAX_N, smallest_singular
 from .svgplot import write_contour
 
 MAX_GRID_NODES = 4_000_000
+# bytes of one stack of shifted matrices handed to a single batched SVD
+_STACK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -69,13 +71,29 @@ class ScalarField:
 
 
 def smin_field(m: np.ndarray, grid: GridSpec) -> ScalarField:
-    """s_min(z I - m) at every grid node."""
+    """s_min(z I - m) at every grid node.
+
+    For 2 <= n <= SMIN_DIRECT_MAX_N the nodes go to LAPACK as stacks of
+    shifted matrices of at most _STACK_BYTES each, one batched SVD per
+    stack; each value is bit-equal to :func:`smallest_singular` at that
+    node.  Other sizes make one :func:`smallest_singular` call per node.
+    """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError("expected a square matrix")
-    eye = np.eye(m.shape[0])
-    zs = [complex(re, im) for im in grid.ims() for re in grid.res()]
-    return ScalarField(grid=grid, values=np.array([smallest_singular(z * eye - m) for z in zs]))
+    n = m.shape[0]
+    eye = np.eye(n)
+    zs = np.empty((grid.ny, grid.nx), dtype=complex)
+    zs.real, zs.imag = grid.res()[None, :], grid.ims()[:, None]
+    zs = zs.ravel()
+    if not 2 <= n <= SMIN_DIRECT_MAX_N:
+        return ScalarField(grid=grid, values=np.array([smallest_singular(z * eye - m) for z in zs]))
+    values = np.empty(len(zs))
+    k = _STACK_BYTES // (16 * n * n)
+    for s in range(0, len(zs), k):
+        stack = zs[s : s + k, None, None] * eye - m
+        values[s : s + k] = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    return ScalarField(grid=grid, values=values)
 
 
 # marching squares: the segments of a cell as pairs of its edges, numbered

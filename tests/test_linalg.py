@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import toepspec
 from helpers import ks_distance
@@ -167,15 +169,15 @@ class TestSminEarlyExit:
 
     @pytest.fixture
     def solve_pairs(self, monkeypatch):
-        """Counts the (A, A*) lu_solve pairs that smallest_singular makes."""
+        """Counts the (A, A*) LU-solve pairs that smallest_singular makes."""
         calls = []
-        real = linalg.sla.lu_solve
+        real = linalg._lu_solve
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(linalg.sla, "lu_solve", counted)
+        monkeypatch.setattr(linalg, "_lu_solve", counted)
         return lambda: len(calls) // 2
 
     def shifted(self, z):
@@ -196,6 +198,77 @@ class TestSminEarlyExit:
         s = smallest_singular(a)
         assert solve_pairs() == 3
         assert s == pytest.approx(float(np.linalg.svd(a, compute_uv=False)[-1]), rel=1e-9)
+
+
+class TestRawLapackLu:
+    """The LU kernels call zgetrf/zgetrs directly; scipy's wrappers are the reference."""
+
+    @staticmethod
+    def reference_smin(m):
+        # the smallest_singular iteration, spelled with scipy.linalg.lu_factor/lu_solve
+        n = m.shape[0]
+        lu, piv = sla.lu_factor(m, check_finite=False)
+        v = linalg._start_vector(linalg._SMIN_KEY, n)
+        s_prev = d_prev = math.inf
+        for k in range(linalg._SMIN_MAX_ITER):
+            u = sla.lu_solve((lu, piv), v, trans=0, check_finite=False)
+            w = sla.lu_solve((lu, piv), u, trans=2, check_finite=False)
+            f = w / np.linalg.norm(w)
+            s_est = float(np.linalg.norm(m.conj().T @ f))
+            d = abs(s_est - s_prev)
+            tol = linalg._SMIN_RTOL * max(s_est, 1e-300)
+            if d <= tol:
+                return s_est
+            if k >= 2 and (d >= d_prev or d * (d / d_prev) ** (linalg._SMIN_MAX_ITER - 1 - k) > tol):
+                break
+            s_prev, d_prev = s_est, d
+            v = f
+        return float(np.linalg.svd(m, compute_uv=False)[-1])
+
+    @staticmethod
+    def reference_eigenvector(m, lam):
+        n = m.shape[0]
+        lu, piv = sla.lu_factor(m - complex(lam) * np.eye(n), check_finite=False)
+        v = linalg._start_vector(linalg._EIGVEC_KEY, n)
+        tol = 1e-6 * float(np.linalg.norm(m)) / math.sqrt(n)
+        for _ in range(linalg._EIGVEC_MAX_ITER):
+            w = sla.lu_solve((lu, piv), v, trans=0, check_finite=False)
+            v = w / np.linalg.norm(w)
+            if float(np.linalg.norm(m @ v - lam * v)) <= tol:
+                return v
+        raise AssertionError("reference inverse iteration did not converge")
+
+    @pytest.mark.parametrize("n", [30, 100])
+    def test_lu_logdet_equals_scipy_reference(self, n):
+        m = random_complex(np.random.default_rng(n), n)
+        lu, piv = sla.lu_factor(m, check_finite=False)
+        diag = np.diag(lu)
+        phase = complex(np.prod(diag / np.abs(diag)))
+        if int(np.sum(piv != np.arange(n))) % 2:
+            phase = -phase
+        assert lu_logdet(m) == LogDet(float(np.sum(np.log(np.abs(diag)))), phase)
+
+    @pytest.mark.parametrize("n", [30, 100])
+    def test_eigenvector_equals_scipy_reference(self, n):
+        m = random_complex(np.random.default_rng(n + 1), n)
+        lam = eigenvalues(m)[0]
+        assert np.array_equal(eigenvector(m, lam), self.reference_eigenvector(m, lam))
+
+    @pytest.mark.parametrize("n", [30, 100])
+    def test_smallest_singular_equals_scipy_reference(self, n):
+        # one matrix whose iterate converges and one that falls back to the SVD
+        fast = random_complex(np.random.default_rng(n + 2), n)
+        slow = 1.5 * np.eye(n) - perturbed(parse_symbol("-1:1"), n, PerturbationSpec("poly", gamma=2.0), NoiseSpec(), 1)
+        for m in (fast, slow):
+            assert smallest_singular(m) == self.reference_smin(m)
+
+    def test_exact_singularity_is_silent(self):
+        m = np.ones((30, 30), dtype=complex)
+        m[:, 0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lu_logdet(m) == LogDet(-math.inf, 0j)
+            assert smallest_singular(m) == 0.0
 
 
 _OPENBLAS_THREADS = textwrap.dedent(

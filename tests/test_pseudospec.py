@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
+from toepspec import pseudospec
 from toepspec.errors import ShapeError, SizeLimitError
-from toepspec.linalg import smallest_singular
-from toepspec.matrixgen import NoiseSpec, circulant, jordan, sample_noise
+from toepspec.linalg import SMIN_DIRECT_MAX_N, smallest_singular
+from toepspec.matrixgen import NoiseSpec, PerturbationSpec, circulant, jordan, perturbed, sample_noise
 from toepspec.pseudospec import (
     GridSpec,
     ScalarField,
@@ -64,9 +65,39 @@ class TestSminField:
         m = jordan(n) + n**-2.0 * sample_noise(NoiseSpec(), n, 83)
         g = GridSpec(-1.5, 1.5, -1.5, 1.5, 9, 9)
         field = smin_field(m, g)
-        zs = [complex(re, im) for im in g.ims() for re in g.res()]
-        direct = np.array([np.linalg.svd(z * np.eye(n) - m, compute_uv=False)[-1] for z in zs])
+        direct = self.per_node_svd(m, g)
         assert np.max(np.abs(field.values - direct) / direct) <= 1e-8
+
+    @staticmethod
+    def per_node_svd(m, g):
+        n = m.shape[0]
+        zs = [complex(re, im) for im in g.ims() for re in g.res()]
+        return np.array([np.linalg.svd(z * np.eye(n) - m, compute_uv=False)[-1] for z in zs])
+
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_stacked_field_equals_per_node_svd(self, n):
+        m = perturbed(JORDAN, n, PerturbationSpec("poly", gamma=2.0), NoiseSpec(), 5)
+        g = GridSpec(-2, 2, -2, 2, 101, 101)
+        assert g.nx * g.ny * 16 * n * n >= 2 * pseudospec._STACK_BYTES  # at least two stacks
+        assert np.array_equal(smin_field(m, g).values, self.per_node_svd(m, g))
+
+    def test_one_by_one_field_is_abs(self):
+        m00 = 0.3 - 0.7j
+        g = GridSpec(-1, 1, -1, 1, 11, 11)
+        # scalar abs: numpy's array abs differs from it in the last bit at some nodes
+        expected = [abs(complex(re, im) - m00) for im in g.ims() for re in g.res()]
+        assert np.array_equal(smin_field(np.array([[m00]]), g).values, expected)
+
+    def test_above_direct_size_goes_per_node(self, monkeypatch):
+        n = SMIN_DIRECT_MAX_N + 1
+        m = perturbed(JORDAN, n, PerturbationSpec("poly", gamma=2.0), NoiseSpec(), 5)
+        g = GridSpec(-1.5, 1.5, -1.5, 1.5, 5, 4)
+        calls = []
+        monkeypatch.setattr(pseudospec, "smallest_singular", lambda a: calls.append(a) or smallest_singular(a))
+        values = smin_field(m, g).values
+        assert len(calls) == g.nx * g.ny
+        direct = self.per_node_svd(m, g)
+        assert np.max(np.abs(values - direct) / direct) <= 1e-8
 
     def test_jordan_interior_lower_bound(self):
         # the rank-one corner perturbation reaches radius r, so s_min at

@@ -98,6 +98,8 @@ def configs() -> dict:
             grid={**GRID, "nx": 21, "ny": 21}, levels=[0.1, 0.3],
         ),
         "pseudospec_toep": _cfg("pseudospec_map", n=30, trials=1, matrix="toeplitz", grid={**GRID, "nx": 7, "ny": 7}),
+        # perturbed, n <= 24: the field goes to LAPACK as several stacks of shifted matrices
+        "pseudospec_stacked": _cfg("pseudospec_map", n=16, trials=1, grid={**GRID, "nx": 41, "ny": 41}),
         # eigenvector scenarios under r^n noise on a one-sided symbol (scaled solve)
         "eigvec_outlier_exp": _cfg("eigvec_outlier", n=100, pert=EXP, trials=2, stop_after_found=3),
         "eigvec_bulk_exp": _cfg("eigvec_bulk", n=100, pert=EXP, trials=1),
