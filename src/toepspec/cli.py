@@ -4,7 +4,7 @@ Subcommands: ``spectrum`` (eigenvalues of one realization), ``pseudospectrum``
 (smallest-singular-value field plus contour lines), ``run`` (experiment config
 file), ``list`` (scenario registry).  Exit codes: 0 success, 1 configuration
 error (size caps and sizes that run out of memory included), 2 numerical
-failure.
+failure or a worker process that died.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, matrixgen, measures, pseudospec
-from .errors import ConfigError, ToepspecError
+from .errors import ConfigError, ToepspecError, WorkerDiedError
 from .matrixgen import NoiseSpec, PerturbationSpec
 from .svgplot import write_scatter
 from .symbol import curve_samples, parse_symbol
@@ -185,6 +185,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a size too large for this machine
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except WorkerDiedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ToepspecError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

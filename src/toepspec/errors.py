@@ -63,3 +63,7 @@ class EmptyDataError(ToepspecError):
 
 class NonFiniteError(ToepspecError):
     """A computed result overflowed to inf or became NaN."""
+
+
+class WorkerDiedError(ToepspecError):
+    """A worker process ended without returning its results."""

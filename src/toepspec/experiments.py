@@ -4,7 +4,9 @@ Every scenario reads its trials from one :class:`TrialEnsemble`: trial t's
 noise is drawn from :func:`matrixgen.task_seed` (seed, t), so reports are
 byte-identical for identical configs.  :func:`run` parses and checks the
 config, writes the artifacts, and leaves each scenario runner a reduction
-over the trials plus a pass rule.
+over the trials plus a pass rule.  A large ensemble's eigensolves are split
+over forked workers, one pinned to each CPU (see :class:`TrialEnsemble`);
+eigenvectors, early-stopping loops and Grushin gaps run in this process.
 
 Eigenvector direction convention.  For an eigenvalue lambda with winding
 number d(lambda) of the symbol curve, the localized mass sits at the FRONT
@@ -20,11 +22,13 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import eigloc, grushin, linalg, matrixgen, measures, pseudospec, svgplot
+from ._pool import map_chunks
 from .errors import BoundaryError, ConfigError, NonFiniteError, OnCurveError, SizeLimitError, ToepspecError
 from .matrixgen import NoiseSpec, PerturbationSpec, is_real, task_seed
 from .symbol import (
@@ -218,13 +222,19 @@ def trial_eigenvalues(
     return linalg.eigenvalues(matrixgen.perturbed(sym, n, pert, noise, seed, scale=scale))
 
 
+def _solve_trials(sym: LaurentSymbol, n: int, pert: PerturbationSpec, noise: NoiseSpec, seeds) -> list:
+    return [trial_eigenvalues(sym, n, pert, noise, seed) for seed in seeds]
+
+
 class TrialEnsemble:
     """The trials of one config: seeds, matrices built on demand, eigenvalues solved once.
 
     Trial t's matrix is the one :func:`trial_eigenvalues` solves: D^-1 M D
     where a one-sided band meets r^n noise, M itself otherwise.  Matrices are
-    built only when asked for, so a scenario that stops early skips the
-    remaining trials.
+    built only when asked for, so a scenario that stops early with
+    :meth:`eigs` skips the remaining trials.  :attr:`eigenvalues` splits the
+    unsolved trials of a large ensemble over forked workers (fork starts one
+    in ms), each pinned to its own CPU, which unpinned workers may share.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -249,7 +259,10 @@ class TrialEnsemble:
 
     @property
     def eigenvalues(self) -> list[np.ndarray]:
-        return [self.eigs(t) for t in range(self.cfg.trials)]
+        cfg, todo = self.cfg, [t for t in range(self.cfg.trials) if t not in self._eigs]
+        solve = partial(_solve_trials, self.sym, cfg.n, cfg.pert, cfg.noise)
+        self._eigs.update(zip(todo, map_chunks(solve, [self.seeds[t] for t in todo], cfg.n)))
+        return [self._eigs[t] for t in range(cfg.trials)]
 
     def eigenvector(self, t: int, lam: complex) -> np.ndarray:
         """Unit eigenvector of trial t's unscaled matrix M for the eigenvalue lam.
@@ -566,7 +579,7 @@ def _run_pairing(ens: TrialEnsemble, params: dict, out_dir):
         # each assignment pairs n eigenvalues: refuse before any matrix is built
         raise SizeLimitError(f"assignment capped at {measures.MATCH_MAX_POINTS} points")
     targets = curve_samples(ens.sym, ens.cfg.n)
-    costs = [measures.match_cost(ens.eigs(t), targets, params["p"]) for t in range(ens.cfg.trials)]
+    costs = [measures.match_cost(e, targets, params["p"]) for e in ens.eigenvalues]
     ok_frac = float(np.mean([c <= params["cost_tol"] for c in costs]))
     metrics = {"match_costs": costs, "cost_max": max(costs), "ok_frac": ok_frac}
     passed = {"match_cost": ok_frac >= params["pass_frac"]}

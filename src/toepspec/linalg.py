@@ -13,7 +13,7 @@ stagnates.  All kernels are reentrant and deterministic.
 Importing this module runs both bundled OpenBLAS copies on one thread: at
 the sizes met here (n = 50-500) extra BLAS threads cost more than they
 give, and one thread makes every result independent of the core count and
-of OPENBLAS_NUM_THREADS.
+of OPENBLAS_NUM_THREADS.  Their idle pool threads stop, so forks are safe.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import ConvergenceError, ShapeError
 
 
 def _one_blas_thread() -> None:
-    """Set numpy's and scipy's bundled OpenBLAS to one thread; skip a copy that is not found."""
+    """Run numpy's and scipy's bundled OpenBLAS on one thread, idle pool stopped; skip a copy not found."""
     for package, libdir, pattern, symbol in (
         (np, "numpy.libs", "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
         (scipy, "scipy.libs", "libscipy_openblas-*.so", "scipy_openblas_set_num_threads"),
@@ -40,12 +40,17 @@ def _one_blas_thread() -> None:
         base = Path(package.__file__).resolve().parent.parent / libdir
         for path in sorted(glob.glob(str(base / pattern))):
             try:
-                fn = getattr(ctypes.CDLL(path), symbol)
+                lib = ctypes.CDLL(path)
+                fn = getattr(lib, symbol)
             except (OSError, AttributeError):
                 continue
             fn.argtypes = [ctypes.c_int]
             fn.restype = None
             fn(1)
+            stop = getattr(lib, "blas_thread_shutdown_", None)  # at one thread no pool starts again
+            if stop is not None:
+                stop.argtypes, stop.restype = [], ctypes.c_int
+                stop()
             break
 
 

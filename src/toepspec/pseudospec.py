@@ -7,10 +7,12 @@ so one scalar field per matrix yields every level line at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from ._pool import map_chunks
 from .errors import ShapeError, SizeLimitError
 from .linalg import SMIN_DIRECT_MAX_N, smallest_singular
 from .svgplot import write_contour
@@ -76,24 +78,30 @@ def smin_field(m: np.ndarray, grid: GridSpec) -> ScalarField:
     For 2 <= n <= SMIN_DIRECT_MAX_N the nodes go to LAPACK as stacks of
     shifted matrices of at most _STACK_BYTES each, one batched SVD per
     stack; each value is bit-equal to :func:`smallest_singular` at that
-    node.  Other sizes make one :func:`smallest_singular` call per node.
+    node.  Other sizes make one :func:`smallest_singular` call per node.  A
+    large grid is split over forked workers (fork starts one in ms), each
+    pinned to its own CPU, which unpinned workers may share.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError("expected a square matrix")
-    n = m.shape[0]
-    eye = np.eye(n)
     zs = np.empty((grid.ny, grid.nx), dtype=complex)
     zs.real, zs.imag = grid.res()[None, :], grid.ims()[:, None]
     zs = zs.ravel()
+    return ScalarField(grid=grid, values=map_chunks(partial(_smin_values, m), zs, m.shape[0]))
+
+
+def _smin_values(m: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    n = m.shape[0]
+    eye = np.eye(n)
     if not 2 <= n <= SMIN_DIRECT_MAX_N:
-        return ScalarField(grid=grid, values=np.array([smallest_singular(z * eye - m) for z in zs]))
+        return np.array([smallest_singular(z * eye - m) for z in zs])
     values = np.empty(len(zs))
     k = _STACK_BYTES // (16 * n * n)
     for s in range(0, len(zs), k):
         stack = zs[s : s + k, None, None] * eye - m
         values[s : s + k] = np.linalg.svd(stack, compute_uv=False)[:, -1]
-    return ScalarField(grid=grid, values=values)
+    return values
 
 
 # marching squares: the segments of a cell as pairs of its edges, numbered
