@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, UnderflowError
+from .errors import ConfigError, DomainError, UnderflowError
 from .symbol import LaurentSymbol
 
 NOISE_KINDS = ("complex_gaussian", "real_gaussian", "rademacher", "uniform_pm")
@@ -158,60 +158,13 @@ def circulant(symbol: LaurentSymbol, n: int) -> np.ndarray:
     the normal-matrix oracle throughout the test suite.
     """
     if n <= symbol.kmax - symbol.kmin:
-        raise ShapeError(f"band [{symbol.kmin}, {symbol.kmax}] too wide for a {n} x {n} circulant")
+        raise ConfigError(f"band [{symbol.kmin}, {symbol.kmax}] too wide for a {n} x {n} circulant")
     m = np.zeros((n, n), dtype=complex)
     idx = np.arange(n)
     diff = (idx[:, None] - idx[None, :]) % n
     for k, c in symbol.coeffs.items():
         m[diff == (k % n)] = c
     return m
-
-
-def jordan(n: int) -> np.ndarray:
-    """The nilpotent Jordan block: ones on the first superdiagonal."""
-    if n < 2:
-        raise DomainError("Jordan block needs n >= 2")
-    return np.diag(np.ones(n - 1, dtype=complex), 1)
-
-
-def corner(n: int, eps: complex) -> np.ndarray:
-    """The matrix with single entry eps in the bottom-left corner."""
-    if n < 2:
-        raise DomainError("corner perturbation needs n >= 2")
-    m = np.zeros((n, n), dtype=complex)
-    m[n - 1, 0] = eps
-    return m
-
-
-def shifted_symbol(symbol: LaurentSymbol, z: complex, nbar_plus: int) -> LaurentSymbol:
-    """The reindexed symbol whose Toeplitz matrices embed T_n(a - z) transposed.
-
-    With a'_j = a_j - z [j = 0], the coefficient a'_j is moved to index
-    -(j + nbar_plus - nplus_eff); the result has support inside
-    [-nbar_plus, nbar_minus].
-    """
-    nt = symbol.band
-    if not 0 <= nbar_plus <= nt:
-        raise DomainError(f"nbar_plus must lie in [0, {nt}]")
-    shifted: dict[int, complex] = {}
-    npl = symbol.nplus_eff
-    for j in range(-symbol.nminus_eff, npl + 1):
-        c = symbol.coeffs.get(j, 0j) - (z if j == 0 else 0)
-        if c != 0:
-            shifted[-(j + nbar_plus - npl)] = c
-    return LaurentSymbol(shifted)
-
-
-def shifted_symbol_toeplitz(symbol: LaurentSymbol, z: complex, n: int, nbar_plus: int) -> np.ndarray:
-    """Toeplitz matrix of the shifted symbol; see :func:`shifted_symbol`.
-
-    Satisfies the embedding identity
-    ``toeplitz(a - z, N).T == shifted_symbol_toeplitz(a, z, N + nm, band)[:N, nm:]``
-    with nm = nminus_eff and band = nminus_eff + nplus_eff.
-    """
-    if n <= symbol.band:
-        raise ShapeError("matrix size must exceed the band width")
-    return toeplitz(shifted_symbol(symbol, z, nbar_plus), n)
 
 
 def sample_noise(spec: NoiseSpec, n: int, seed: int) -> np.ndarray:

@@ -20,12 +20,14 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DomainError, EmptyDataError, NonFiniteError, OnCurveError, ShapeError, SizeLimitError
+from .errors import DomainError, EmptyDataError, NonFiniteError, ShapeError, SizeLimitError
 from .symbol import LaurentSymbol, curve_samples, evaluate, root_profile
 # unused here, but bench/test_bench.py pins this binding until ROADMAP item 1 lands
 from .symbol import classify_region  # noqa: F401
 
 MATCH_MAX_POINTS = 1024
+# angles at which dist_to_curve samples the symbol curve before refining
+CURVE_SAMPLES = 1024
 
 
 @dataclass(frozen=True)
@@ -89,18 +91,6 @@ def limit_logpot(symbol: LaurentSymbol, z: complex, r: float) -> float:
     return val + n_r * math.log(r) if r > 0 else -math.inf
 
 
-def circle_quadrature_logpot(symbol: LaurentSymbol, z: complex, n: int = 4096, radius: float = 1.0) -> float:
-    """Trapezoid quadrature of (1/2 pi) int log|a(radius e^{i t}) - z| dt.
-
-    Independent oracle for the closed-form limit values; spectrally accurate
-    as long as z stays off the sampled curve.
-    """
-    vals = np.abs(curve_samples(symbol, n, radius=radius) - z)
-    if np.min(vals) == 0:
-        raise OnCurveError(f"z = {z} hit the quadrature curve")
-    return float(np.mean(np.log(vals)))
-
-
 def split_root_moduli(symbol: LaurentSymbol, z: complex) -> tuple[float, float]:
     """Moduli of the nplus-th and (nplus+1)-th roots (inf and 0 past the ends)."""
     mods = root_profile(symbol, z).moduli()
@@ -152,25 +142,23 @@ def match_cost(points, targets, p: float = 2.0) -> float:
     return float(np.mean(cost[rows, cols]) ** (1.0 / p))
 
 
-def dist_to_curve(points, symbol: LaurentSymbol, quadrature_n: int = 1024) -> np.ndarray:
+def dist_to_curve(points, symbol: LaurentSymbol) -> np.ndarray:
     """Distance of each point to the symbol curve a(S^1).
 
-    The distance is sampled at quadrature_n angles.  Every sampled local
+    The distance is sampled at CURVE_SAMPLES angles.  Every sampled local
     minimum that could still hide the global one (the distance moves at most
     sum |k a_k| per radian) is refined by golden section over its bracketing
     arc, and the least value is kept.  All points and candidates run at once.
     """
-    if quadrature_n < 256:
-        raise ShapeError("need at least 256 quadrature points")
     pts = np.asarray(points, dtype=complex).ravel()
     if len(pts) == 0:
         return np.zeros(0)
-    samples = curve_samples(symbol, quadrature_n)
-    thetas = 2 * np.pi * np.arange(quadrature_n) / quadrature_n
-    h = 2 * np.pi / quadrature_n
+    samples = curve_samples(symbol, CURVE_SAMPLES)
+    thetas = 2 * np.pi * np.arange(CURVE_SAMPLES) / CURVE_SAMPLES
+    h = 2 * np.pi / CURVE_SAMPLES
     slack = h * sum(abs(k * c) for k, c in symbol.coeffs.items())
     # the coarse search in blocks of points: no (points x samples) array above 4 MB
-    block = max(1, (1 << 18) // quadrature_n)
+    block = (1 << 18) // CURVE_SAMPLES
     found = []
     for s in range(0, len(pts), block):
         d = np.abs(samples[None, :] - pts[s : s + block, None])
@@ -209,17 +197,3 @@ def write_sample_csv(sample: SpectralSample, path) -> None:
     path.write_text("\n".join(["re,im", *rows]) + "\n", encoding="utf-8")
     sidecar = path.with_name(path.name + ".meta.json")
     sidecar.write_text(json.dumps(sample.meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def read_sample_csv(path) -> SpectralSample:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
-    if not lines or lines[0] != "re,im":
-        raise ShapeError(f"{path} is not a spectral-sample CSV")
-    pts = []
-    for line in lines[1:]:
-        re_s, im_s = line.split(",")
-        pts.append(complex(float(re_s), float(im_s)))
-    sidecar = path.with_name(path.name + ".meta.json")
-    meta = json.loads(sidecar.read_text(encoding="utf-8")) if sidecar.exists() else {}
-    return SpectralSample(points=np.asarray(pts, dtype=complex), meta=meta)

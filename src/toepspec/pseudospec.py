@@ -14,7 +14,7 @@ import numpy as np
 
 from ._pool import map_chunks
 from .errors import ShapeError, SizeLimitError
-from .linalg import SMIN_DIRECT_MAX_N, smallest_singular
+from .linalg import SMIN_DIRECT_MAX_N, _require_square, smallest_singular
 from .svgplot import write_contour
 
 MAX_GRID_NODES = 4_000_000
@@ -47,12 +47,6 @@ class GridSpec:
     def ims(self) -> np.ndarray:
         return np.linspace(self.im_min, self.im_max, self.ny)
 
-    def pitch(self) -> float:
-        return max(
-            (self.re_max - self.re_min) / (self.nx - 1),
-            (self.im_max - self.im_min) / (self.ny - 1),
-        )
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -82,9 +76,7 @@ def smin_field(m: np.ndarray, grid: GridSpec) -> ScalarField:
     large grid is split over forked workers (fork starts one in ms), each
     pinned to its own CPU, which unpinned workers may share.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError("expected a square matrix")
+    m = _require_square(m)
     zs = np.empty((grid.ny, grid.nx), dtype=complex)
     zs.real, zs.imag = grid.res()[None, :], grid.ims()[:, None]
     zs = zs.ravel()
@@ -210,17 +202,3 @@ def write_field_csv(field: ScalarField, path) -> None:
     x, y = np.meshgrid(field.grid.res(), field.grid.ims())
     rows = [f"{float(a)!r},{float(b)!r},{float(v)!r}" for a, b, v in zip(x.ravel(), y.ravel(), field.values)]
     Path(path).write_text("\n".join(["re,im,smin", *rows]) + "\n", encoding="utf-8")
-
-
-def read_field_csv(path) -> ScalarField:
-    """Inverse of :func:`write_field_csv` (grid inferred from the node columns)."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines or lines[0] != "re,im,smin":
-        raise ShapeError(f"{path} is not a field CSV")
-    re_col, im_col, smin = np.array([[float(t) for t in line.split(",")] for line in lines[1:]]).T
-    res, ims = np.unique(re_col), np.unique(im_col)
-    grid = GridSpec(
-        re_min=float(res[0]), re_max=float(res[-1]), im_min=float(ims[0]), im_max=float(ims[-1]),
-        nx=len(res), ny=len(ims),
-    )
-    return ScalarField(grid=grid, values=smin)

@@ -70,10 +70,6 @@ class LaurentSymbol:
         return max(-self.kmin, 0)
 
     @property
-    def a0(self) -> complex:
-        return self.coeffs.get(0, 0j)
-
-    @property
     def band(self) -> int:
         """Total number of roots of q_z, counting roots at infinity."""
         return self.nminus_eff + self.nplus_eff
@@ -187,10 +183,10 @@ class RootProfile:
 def _poly_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
     """All roots of sum c_j zeta^j via the companion matrix of the monic normalization."""
     c = np.asarray(coeffs_ascending, dtype=complex)
-    # strip exact-zero high-order coefficients; callers have already fixed the degree
     deg = len(c) - 1
     if deg == 0:
         return np.zeros(0, dtype=complex)
+    # strip exact-zero low-order coefficients, each a root at 0; callers have already fixed the degree
     nzero = 0
     while nzero < deg and c[nzero] == 0:
         nzero += 1
@@ -250,28 +246,6 @@ def winding_number(symbol: LaurentSymbol, z: complex) -> int:
     return prof.mminus - symbol.nminus_eff
 
 
-def winding_number_quadrature(symbol: LaurentSymbol, z: complex, n: int = 4096) -> int:
-    """Slow phase-integral winding number, used as an independent oracle.
-
-    Accumulates the argument increments of a(e^{i theta}) - z over a uniform
-    sampling of the circle and rounds the total to the nearest integer.
-    """
-    w = curve_samples(symbol, n) - z
-    if np.min(np.abs(w)) < 1e-12:
-        raise OnCurveError(f"z = {z} lies on the sampled symbol curve")
-    ratios = w / np.roll(w, 1)
-    steps = np.angle(ratios)
-    if np.max(np.abs(steps)) > 2.5:
-        if n > 1 << 20:
-            raise OnCurveError(f"z = {z} is too close to the symbol curve to integrate")
-        return winding_number_quadrature(symbol, z, n=4 * n)
-    total = float(np.sum(steps)) / (2 * math.pi)
-    wind = round(total)
-    if abs(total - wind) > 0.25:
-        raise ConfigError(f"phase integral did not settle: total = {total}")
-    return wind
-
-
 def classify_region(symbol: LaurentSymbol, z: complex, r: float) -> str:
     """The region of z in the decomposition used by the exponential-noise limit law.
 
@@ -300,52 +274,3 @@ def classify_region(symbol: LaurentSymbol, z: complex, r: float) -> str:
             raise BoundaryError(f"z = {z} has a root modulus on the radius-{rinv} circle")
         ell = sum(1 for m in mods if m > rinv)
     return f"S{d},{ell}"
-
-
-@dataclass(frozen=True)
-class BadSetFlags:
-    double_root: bool
-    equal_modulus_ratio: bool
-    is_a0: bool
-
-    def any(self) -> bool:
-        return self.double_root or self.equal_modulus_ratio or self.is_a0
-
-
-def near_bad_set(symbol: LaurentSymbol, z: complex, tol: float) -> BadSetFlags:
-    """Flags for proximity to the exceptional set where root formulas degenerate.
-
-    double_root: two roots closer than tol (roots at infinity count as
-    coincident).  equal_modulus_ratio: two distinct roots whose modulus ratio
-    is within tol of 1.  is_a0: z within tol of the constant coefficient a_0.
-    """
-    prof = root_profile(symbol, z)
-    roots = prof.roots
-    double = prof.infinite >= 2
-    equal_mod = prof.infinite >= 2
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < tol:
-                double = True
-            mi, mj = abs(roots[i]), abs(roots[j])
-            hi, lo = max(mi, mj), min(mi, mj)
-            if hi > 0 and abs(lo / hi - 1.0) < tol:
-                equal_mod = True
-    is_a0 = abs(z - symbol.a0) < tol
-    return BadSetFlags(double_root=double, equal_modulus_ratio=equal_mod, is_a0=is_a0)
-
-
-def random_symbol(rng: np.random.Generator, max_band: int = 4) -> LaurentSymbol:
-    """A random banded symbol with tight nonzero endpoints, for property tests."""
-    while True:
-        kmin = int(rng.integers(-max_band, 2))
-        kmax = int(rng.integers(kmin + 1, max_band + 1))
-        ks = range(kmin, kmax + 1)
-        coeffs = {}
-        for k in ks:
-            c = complex(rng.normal(), rng.normal())
-            if k in (kmin, kmax) or rng.random() < 0.8:
-                coeffs[k] = c
-        sym = LaurentSymbol(coeffs)
-        if sym.kmin == kmin and sym.kmax == kmax:
-            return sym

@@ -28,19 +28,12 @@ import pytest
 
 import toepspec
 
-from helpers import ks_distance, sample_widom_checkable
+from helpers import corner, jordan, ks_distance, sample_widom_checkable
 from toepspec import eigloc, grushin, linalg, measures
 from toepspec.detexp import det_k, widom_det
 from toepspec.experiments import ExperimentConfig, run
 from toepspec.linalg import eigenvalues, eigenvector, lu_logdet, svd
-from toepspec.matrixgen import (
-    NoiseSpec,
-    PerturbationSpec,
-    corner,
-    jordan,
-    sample_noise,
-    toeplitz,
-)
+from toepspec.matrixgen import NoiseSpec, PerturbationSpec, toeplitz
 from toepspec.symbol import LaurentSymbol, curve_samples, parse_symbol
 
 JORDAN = "-1:1"

@@ -224,6 +224,7 @@ def _params(scenario, **params):
         (_params("lsd_exp", probe_margin=-0.1), 1, "param probe_margin"),
         (_params("lsd_superexp", gap_margin=1.0), 1, "param gap_margin"),
         (_params("lsd_superexp", gap_margin=-0.1), 1, "param gap_margin"),
+        ({**_params("pseudospec_map", grid=_GRID, matrix="circulant"), "n": 2}, 1, "too wide"),
     ],
     ids=[
         "string_int_param",
@@ -253,6 +254,7 @@ def _params(scenario, **params):
         "negative_probe_margin",
         "gap_margin_one",
         "negative_gap_margin",
+        "circulant_band_too_wide",
     ],
 )
 def test_malformed_config_ends_in_one_line(tmp_path, capsys, patch, code, needle):
@@ -283,6 +285,7 @@ _PSEUDO = ["pseudospectrum", "--symbol", "-1:1", "--n", "4", "--nx", "5", "--ny"
         ([*_PSEUDO, "--nx", "3000", "--ny", "3000"], "param grid"),
         ([*_PSEUDO, "--im-max", "nan"], "param grid.im_max"),
         ([*_SPECTRUM, "--pert", "none:3"], "none perturbation takes no value"),
+        ([*_PSEUDO, "--symbol", "-1:1;1:1", "--n", "2", "--matrix", "circulant"], "too wide"),
     ],
     ids=[
         "nan_symbol",
@@ -298,6 +301,7 @@ _PSEUDO = ["pseudospectrum", "--symbol", "-1:1", "--n", "4", "--nx", "5", "--ny"
         "grid_over_node_guard",
         "nan_grid_bound",
         "none_pert_with_value",
+        "circulant_band_too_wide",
     ],
 )
 def test_malformed_flag_ends_in_one_line(tmp_path, monkeypatch, capsys, argv, needle):

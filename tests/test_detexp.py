@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_permutation_sign, det_orders_by_interpolation
+from helpers import brute_permutation_sign, det_orders_by_interpolation, near_bad_set, random_symbol
 from toepspec.detexp import (
     _subset_sign,
     bidiagonal_minor,
@@ -15,7 +15,7 @@ from toepspec.detexp import (
 from toepspec.errors import BadPointError, ShapeError, SizeLimitError
 from toepspec.linalg import lu_logdet
 from toepspec.matrixgen import toeplitz
-from toepspec.symbol import near_bad_set, parse_symbol, random_symbol
+from toepspec.symbol import parse_symbol
 
 JORDAN = parse_symbol("-1:1")
 TRIDIAG = parse_symbol("-1:1;1:1")

@@ -5,10 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import read_sample_csv
 from toepspec.errors import ConfigError
 from toepspec.experiments import (
     ExperimentConfig,
-    ExperimentReport,
     TrialEnsemble,
     run,
     scenario_names,
@@ -18,7 +18,7 @@ from toepspec.experiments import (
 from toepspec.eigloc import phase_aligned_distance
 from toepspec.linalg import eigenvector
 from toepspec.matrixgen import NoiseSpec, PerturbationSpec, perturbed, sample_noise, task_seed, toeplitz
-from toepspec.measures import match_cost, read_sample_csv
+from toepspec.measures import match_cost
 from toepspec.symbol import parse_symbol
 
 EXPECTED_SCENARIOS = {

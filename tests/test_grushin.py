@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from toepspec.errors import AmbiguousCutError, CouplingTooLargeError
+from toepspec.errors import AmbiguousCutError, CouplingTooLargeError, ShapeError
 from toepspec.grushin import (
     build,
     equivalence_gap,
@@ -44,6 +44,10 @@ class TestBuild:
     def test_ambiguous_cut(self):
         with pytest.raises(AmbiguousCutError):
             build(np.diag([0.5, 2.0]), alpha=0.5)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ShapeError):
+            build(np.ones((2, 3)), alpha=0.5)
 
     def test_invariants_on_random_matrices(self):
         rng = np.random.default_rng(51)
@@ -169,6 +173,10 @@ class TestTruncatedLogdet:
     def test_empty_sum_is_zero(self):
         t = truncated_logdet(np.eye(5), alpha=2.0)
         assert type(t) is float and t == 0.0
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ShapeError):
+            truncated_logdet(np.ones((2, 3)), alpha=0.5)
 
 
 class TestEquivalenceGap:

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg as sla
 
 import toepspec
-from helpers import ks_distance
+from helpers import corner, jordan, ks_distance
 from toepspec import linalg
 from toepspec.errors import ShapeError
 from toepspec.linalg import (
@@ -23,7 +23,7 @@ from toepspec.linalg import (
     smallest_singular,
     svd,
 )
-from toepspec.matrixgen import NoiseSpec, PerturbationSpec, circulant, corner, jordan, perturbed, toeplitz
+from toepspec.matrixgen import NoiseSpec, PerturbationSpec, circulant, perturbed, toeplitz
 from toepspec.measures import match_cost
 from toepspec.symbol import curve_samples, parse_symbol
 

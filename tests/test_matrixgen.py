@@ -2,20 +2,10 @@
 import numpy as np
 import pytest
 
-from toepspec.errors import ConfigError, ShapeError, UnderflowError
-from toepspec.matrixgen import (
-    NoiseSpec,
-    PerturbationSpec,
-    circulant,
-    corner,
-    jordan,
-    perturbed,
-    sample_noise,
-    shifted_symbol_toeplitz,
-    task_seed,
-    toeplitz,
-)
-from toepspec.symbol import parse_symbol, random_symbol
+from helpers import corner, jordan, random_symbol
+from toepspec.errors import ConfigError, UnderflowError
+from toepspec.matrixgen import NoiseSpec, PerturbationSpec, circulant, perturbed, sample_noise, task_seed, toeplitz
+from toepspec.symbol import parse_symbol
 
 JORDAN = parse_symbol("-1:1")
 TRIDIAG = parse_symbol("-1:1;1:1")
@@ -59,7 +49,7 @@ class TestCirculant:
         np.testing.assert_allclose(eigs, [-2, 0, 0, 2], atol=1e-9)
 
     def test_band_too_wide(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             circulant(TRIDIAG, 2)
 
     def test_oracle_on_random_symbols(self):
@@ -92,41 +82,6 @@ class TestJordanCorner:
         n, eps = 50, 1e-4
         eigs = np.linalg.eigvals(jordan(n) + corner(n, eps))
         np.testing.assert_allclose(np.abs(eigs), eps ** (1 / n), atol=1e-8)
-
-
-class TestShiftedSymbolToeplitz:
-    def test_embedding_identity_jordan(self):
-        n = 3
-        z = 1.0
-        big = shifted_symbol_toeplitz(JORDAN, z, n + JORDAN.nminus_eff, JORDAN.band)
-        target = (toeplitz(JORDAN, n) - z * np.eye(n)).T
-        sub = big[:n, JORDAN.nminus_eff:]
-        np.testing.assert_array_equal(sub, target)
-
-    def test_embedding_identity_random(self):
-        rng = np.random.default_rng(2)
-        for _ in range(15):
-            sym = random_symbol(rng, max_band=3)
-            n = int(rng.integers(sym.band + 2, 50))
-            z = complex(rng.normal(), rng.normal())
-            nm = sym.nminus_eff
-            big = shifted_symbol_toeplitz(sym, z, n + nm, sym.band)
-            target = (toeplitz(sym, n) - z * np.eye(n)).T
-            np.testing.assert_allclose(big[:n, nm:], target, atol=0)
-
-    def test_nbar_equals_nplus_gives_transpose(self):
-        z = 0.7 + 0.2j
-        n = 6
-        m = shifted_symbol_toeplitz(TRIDIAG, z, n, TRIDIAG.nplus_eff)
-        target = (toeplitz(TRIDIAG, n) - z * np.eye(n)).T
-        np.testing.assert_allclose(m, target, atol=0)
-
-    def test_first_row_pattern(self):
-        # upper-bidiagonal pattern built from {a_{-1}, a_0 - z} for the shift symbol
-        m = shifted_symbol_toeplitz(JORDAN, 1.0, 3, 1)
-        vals = sorted({complex(v) for v in m[np.nonzero(m)]}, key=lambda c: c.real)
-        assert vals == [(-1 + 0j), (1 + 0j)]
-        assert m[0, 0] != 0 and m[0, 1] != 0 and m[0, 2] == 0
 
 
 class TestNoise:

@@ -3,21 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from helpers import circle_quadrature_logpot, random_symbol, read_sample_csv
 from toepspec.errors import DomainError, ShapeError
 from toepspec.measures import (
     SpectralSample,
-    circle_quadrature_logpot,
     dist_to_curve,
     empirical_logpot,
     energy_distance,
     limit_logpot,
     match_cost,
     pushforward_sample,
-    read_sample_csv,
     split_root_moduli,
     write_sample_csv,
 )
-from toepspec.symbol import curve_samples, evaluate, parse_symbol, random_symbol
+from toepspec.symbol import curve_samples, evaluate, parse_symbol
 
 JORDAN = parse_symbol("-1:1")
 TRIDIAG = parse_symbol("-1:1;1:1")
@@ -316,21 +315,17 @@ class TestMatchCost:
 
 class TestDistToCurve:
     def test_point_outside_circle(self):
-        assert dist_to_curve([2.0], JORDAN, 1024)[0] == pytest.approx(1.0, abs=1e-9)
+        assert dist_to_curve([2.0], JORDAN)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_point_on_curve(self):
-        d = dist_to_curve([np.exp(0.3j)], JORDAN, 1024)[0]
+        d = dist_to_curve([np.exp(0.3j)], JORDAN)[0]
         assert d <= 2 * np.pi / 1024
 
     def test_point_on_tridiagonal_segment(self):
-        assert dist_to_curve([0.0], TRIDIAG, 1024)[0] <= 1e-9
+        assert dist_to_curve([0.0], TRIDIAG)[0] <= 1e-9
 
     def test_empty_input(self):
-        assert dist_to_curve([], JORDAN, 1024).shape == (0,)
-
-    def test_quadrature_floor(self):
-        with pytest.raises(ShapeError):
-            dist_to_curve([2.0], JORDAN, 255)
+        assert dist_to_curve([], JORDAN).shape == (0,)
 
     @staticmethod
     def _dense_min(sym, p, m=1 << 16):
@@ -352,7 +347,7 @@ class TestDistToCurve:
                 box.imag.min(), box.imag.max(), 30
             )
             want = [self._dense_min(sym, p) for p in pts]
-            assert np.max(np.abs(dist_to_curve(pts, sym, 1024) - want)) <= 1e-8, seed
+            assert np.max(np.abs(dist_to_curve(pts, sym) - want)) <= 1e-8, seed
 
 
 class TestCsvRoundtrip:

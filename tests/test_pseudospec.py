@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
+from helpers import jordan, pitch, read_field_csv
 from toepspec import pseudospec
 from toepspec.errors import ShapeError, SizeLimitError
 from toepspec.linalg import SMIN_DIRECT_MAX_N, smallest_singular
-from toepspec.matrixgen import NoiseSpec, PerturbationSpec, circulant, jordan, perturbed, sample_noise
+from toepspec.matrixgen import NoiseSpec, PerturbationSpec, circulant, perturbed, sample_noise
 from toepspec.pseudospec import (
     GridSpec,
     ScalarField,
@@ -120,8 +121,7 @@ class TestContours:
         assert polys
         pts = np.array([p for poly in polys for p in poly])
         radii = np.hypot(pts[:, 0], pts[:, 1])
-        pitch = g.pitch()
-        assert np.max(np.abs(radii - 0.5)) <= 2 * pitch
+        assert np.max(np.abs(radii - 0.5)) <= 2 * pitch(g)
 
     def test_level_below_min_is_empty(self):
         g = GridSpec(-1, 1, -1, 1, 11, 11)
@@ -139,7 +139,7 @@ class TestContours:
         pts = np.array([p for poly in polys for p in poly])
         zs = pts[:, 0] + 1j * pts[:, 1]
         dist = np.min(np.abs(zs[:, None] - spectrum[None, :]), axis=1)
-        assert np.max(np.abs(dist - eps)) <= 2 * g.pitch()
+        assert np.max(np.abs(dist - eps)) <= 2 * pitch(g)
 
     def test_closed_lines_close_on_their_first_vertex(self):
         g = GridSpec(-1.6, 1.6, -1.6, 1.6, 101, 101)
@@ -175,8 +175,6 @@ class TestFieldCsv:
 
 class TestFieldCsvRoundtrip:
     def test_roundtrip(self, tmp_path):
-        from toepspec.pseudospec import read_field_csv
-
         rng = np.random.default_rng(82)
         g = GridSpec(-1.5, 2.5, -0.5, 1.0, 7, 5)
         field = ScalarField(grid=g, values=rng.uniform(0, 3, size=35))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import near_bad_set, random_symbol, winding_number_quadrature
 from toepspec.errors import (
     BoundaryError,
     ConfigError,
@@ -16,12 +17,9 @@ from toepspec.symbol import (
     curve_samples,
     evaluate,
     format_symbol,
-    near_bad_set,
     parse_symbol,
-    random_symbol,
     root_profile,
     winding_number,
-    winding_number_quadrature,
 )
 
 JORDAN = parse_symbol("-1:1")
