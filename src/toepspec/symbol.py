@@ -180,84 +180,94 @@ class RootProfile:
         return [math.inf] * self.infinite + [abs(r) for r in self.roots]
 
 
-def _poly_roots(coeffs_ascending: np.ndarray) -> np.ndarray:
-    """All roots of sum c_j zeta^j via the companion matrix of the monic normalization."""
-    c = np.asarray(coeffs_ascending, dtype=complex)
-    deg = len(c) - 1
-    if deg == 0:
-        return np.zeros(0, dtype=complex)
-    # strip exact-zero low-order coefficients, each a root at 0; callers have already fixed the degree
-    nzero = 0
-    while nzero < deg and c[nzero] == 0:
-        nzero += 1
-    body = c[nzero:] / c[-1]
-    m = len(body) - 1
-    roots = [0j] * nzero
-    if m > 0:
-        comp = np.zeros((m, m), dtype=complex)
-        comp[1:, :-1] = np.eye(m - 1)
-        comp[:, -1] = -body[:-1]
-        roots.extend(np.linalg.eigvals(comp))
-    return np.asarray(roots, dtype=complex)
+def root_profiles(symbol: LaurentSymbol, zs) -> list[RootProfile]:
+    """Root data of zeta^{n_minus_eff} (a(zeta) - z) at every z of zs, with the roots-at-infinity convention.
+
+    The rows are grouped by their effective degree deg (top zero coefficients
+    of q_z become roots at infinity) and their count of zero low-order
+    coefficients (each a root at 0); the roots of a group come from one
+    stacked eigensolve of the companion matrices of the monic normalization.
+    """
+    zs = np.asarray(zs, dtype=complex).ravel()
+    nm, target = symbol.nminus_eff, symbol.band
+    base = np.zeros(target + 1, dtype=complex)
+    for k, c in symbol.coeffs.items():
+        base[k + nm] += c
+    coeffs = base[None, :].repeat(len(zs), axis=0)
+    coeffs[:, nm] -= zs
+    nonzero = coeffs != 0
+    if not nonzero.any(axis=1).all():
+        raise DegenerateInputError("shifted symbol polynomial is identically zero")
+    degs = target - nonzero[:, ::-1].argmax(axis=1)
+    nzeros = nonzero.argmax(axis=1)
+    groups = degs * (target + 1) + nzeros
+    out: list[RootProfile | None] = [None] * len(zs)
+    for group in set(groups.tolist()):
+        deg, nzero = divmod(group, target + 1)
+        rows = np.flatnonzero(groups == group)
+        m = deg - nzero
+        roots = np.zeros((len(rows), deg), dtype=complex)
+        if m > 0:
+            body = coeffs[rows, nzero : deg + 1] / coeffs[rows, deg : deg + 1]
+            comp = np.zeros((len(rows), m, m), dtype=complex)
+            comp[:, 1:, :-1] = np.eye(m - 1)
+            comp[:, :, -1] = -body[:, :-1]
+            roots[:, nzero:] = np.linalg.eigvals(comp)
+        # deterministic nonincreasing-modulus order, angle as tie break
+        order = np.lexsort((np.angle(roots), -np.abs(roots)), axis=-1)
+        roots = roots[np.arange(len(rows))[:, None], order]
+        mods = np.abs(roots)
+        infinite = target - deg
+        counts = zip(
+            (np.abs(mods - 1.0) < ON_CIRCLE_TOL).sum(axis=-1).tolist(),
+            (mods >= 1.0 + ON_CIRCLE_TOL).sum(axis=-1).tolist(),
+            (mods <= 1.0 - ON_CIRCLE_TOL).sum(axis=-1).tolist(),
+        )
+        for row, rts, (on_circle, mplus, mminus) in zip(rows.tolist(), roots, counts):
+            out[row] = RootProfile(
+                roots=tuple(rts),
+                infinite=infinite,
+                leading=complex(coeffs[row, deg]),
+                mplus=infinite + mplus,
+                mminus=mminus,
+                on_circle=on_circle,
+            )
+    return out
 
 
 def root_profile(symbol: LaurentSymbol, z: complex) -> RootProfile:
-    """Root data of zeta^{n_minus_eff} (a(zeta) - z) with the roots-at-infinity convention."""
-    nm = symbol.nminus_eff
-    target = symbol.band
-    coeffs = np.zeros(target + 1, dtype=complex)
-    for k, c in symbol.coeffs.items():
-        coeffs[k + nm] += c
-    coeffs[nm] -= z
-    deg = target
-    while deg > 0 and coeffs[deg] == 0:
-        deg -= 1
-    if deg == 0 and coeffs[0] == 0:
-        raise DegenerateInputError("shifted symbol polynomial is identically zero")
-    leading = coeffs[deg]
-    roots = _poly_roots(coeffs[: deg + 1])
-    # deterministic nonincreasing-modulus order, angle as tie break
-    order = np.lexsort((np.angle(roots), -np.abs(roots)))
-    roots = roots[order]
-    mods = np.abs(roots)
-    infinite = target - deg
-    on_circle = int(np.sum(np.abs(mods - 1.0) < ON_CIRCLE_TOL))
-    mplus = infinite + int(np.sum(mods >= 1.0 + ON_CIRCLE_TOL))
-    mminus = int(np.sum(mods <= 1.0 - ON_CIRCLE_TOL))
-    return RootProfile(
-        roots=tuple(roots),
-        infinite=infinite,
-        leading=complex(leading),
-        mplus=mplus,
-        mminus=mminus,
-        on_circle=on_circle,
-    )
+    """Root data of zeta^{n_minus_eff} (a(zeta) - z): the one-point case of :func:`root_profiles`."""
+    return root_profiles(symbol, [z])[0]
 
 
-def winding_number(symbol: LaurentSymbol, z: complex) -> int:
+def winding_number(symbol: LaurentSymbol, z: complex, prof: RootProfile | None = None) -> int:
     """Winding number of the symbol curve around z, via root counting.
 
     Equals m_-(z) - n_minus_eff.  Points on the curve (a root of modulus 1
-    within tolerance) are rejected.
+    within tolerance) are rejected.  ``prof``, when given, is
+    ``root_profile(symbol, z)`` computed beforehand (see :func:`root_profiles`).
     """
-    prof = root_profile(symbol, z)
+    if prof is None:
+        prof = root_profile(symbol, z)
     if prof.on_circle:
         raise OnCurveError(f"z = {z} lies on the symbol curve within tolerance")
     return prof.mminus - symbol.nminus_eff
 
 
-def classify_region(symbol: LaurentSymbol, z: complex, r: float) -> str:
+def classify_region(symbol: LaurentSymbol, z: complex, r: float, prof: RootProfile | None = None) -> str:
     """The region of z in the decomposition used by the exponential-noise limit law.
 
     Returns ``"S0"`` for winding number 0, else ``"S{d},{ell}"`` for winding
     number d != 0, with ell counting how many roots straddle the radius-r
     circle (d > 0) or the radius-1/r circle (d < 0).  Points whose root
     moduli sit on that separating circle raise :class:`BoundaryError`;
-    points on the symbol curve itself raise :class:`OnCurveError`.
+    points on the symbol curve itself raise :class:`OnCurveError`.  ``prof``
+    is as in :func:`winding_number`.
     """
     if not 0 < r < 1:
         raise ConfigError("the radius parameter must lie in (0, 1)")
-    prof = root_profile(symbol, z)
+    if prof is None:
+        prof = root_profile(symbol, z)
     if prof.on_circle:
         raise OnCurveError(f"z = {z} lies on the symbol curve within tolerance")
     d = prof.mminus - symbol.nminus_eff

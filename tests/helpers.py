@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 
-from toepspec import matrixgen
-from toepspec.errors import ConfigError, DomainError, OnCurveError, ShapeError
+from toepspec import experiments, matrixgen, measures
+from toepspec.errors import BoundaryError, ConfigError, DomainError, OnCurveError, ShapeError
 from toepspec.measures import SpectralSample
 from toepspec.pseudospec import GridSpec, ScalarField
-from toepspec.symbol import LaurentSymbol, curve_samples, root_profile, winding_number
+from toepspec.symbol import LaurentSymbol, classify_region, curve_samples, root_profile, winding_number
 
 
 def jordan(n: int) -> np.ndarray:
@@ -215,3 +215,54 @@ def brute_permutation_sign(subset, n) -> int:
         1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
     )
     return -1 if inversions % 2 else 1
+
+
+def probe_draws_per_point(sym: LaurentSymbol, radii, pad: float, seed: int):
+    """Endless probe draws one point at a time: re, then im, from the probe stream."""
+    pts = np.concatenate([curve_samples(sym, 256, rad) for rad in radii])
+    lo_re, hi_re = float(pts.real.min()) - pad, float(pts.real.max()) + pad
+    lo_im, hi_im = float(pts.imag.min()) - pad, float(pts.imag.max()) + pad
+    rng = np.random.Generator(np.random.Philox(key=matrixgen.task_seed(seed, experiments._PROBE_STREAM)))
+    while True:
+        yield complex(rng.uniform(lo_re, hi_re), rng.uniform(lo_im, hi_im))
+
+
+def probe_points_regions_per_draw(
+    sym: LaurentSymbol, r: float, count: int, margin: float, seed: int
+) -> dict[str, list[complex]]:
+    """Region probe placement one draw at a time: a margin test and a classify_region call per draw."""
+    radii = (1.0, r, 1.0 / r)
+    curves = np.concatenate([curve_samples(sym, 720, rad) for rad in radii])
+    draws = probe_draws_per_point(sym, radii, 2 * margin + 0.3, seed)
+    buckets: dict[str, list[complex]] = {}
+    for attempt, z in zip(range(experiments._REGION_MAX_DRAWS), draws):
+        if (
+            attempt >= experiments._DISCOVERY_FLOOR
+            and buckets
+            and all(len(b) >= count for b in buckets.values())
+        ):
+            break
+        if np.min(np.abs(curves - z)) < margin:
+            continue
+        try:
+            key = classify_region(sym, z, r)
+        except (BoundaryError, OnCurveError):
+            continue
+        bucket = buckets.setdefault(key, [])
+        if len(bucket) < count:
+            bucket.append(z)
+    return {k: v for k, v in sorted(buckets.items()) if len(v) >= count}
+
+
+def probe_points_off_support_per_draw(sym: LaurentSymbol, count: int, gap_margin: float, seed: int) -> list[complex]:
+    """Off-support probe placement one draw at a time."""
+    out: list[complex] = []
+    for _, z in zip(range(experiments._SUPPORT_MAX_DRAWS), probe_draws_per_point(sym, (1.0,), 1.0, seed)):
+        if len(out) >= count:
+            break
+        hi, lo = measures.split_root_moduli(sym, z)
+        if math.isinf(hi) or (hi > 0 and (hi - lo) / hi >= gap_margin):
+            out.append(z)
+    if len(out) < count:
+        raise ConfigError("could not place enough probe points off the support set")
+    return out

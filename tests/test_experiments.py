@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from helpers import read_sample_csv
+from helpers import probe_points_off_support_per_draw, probe_points_regions_per_draw, read_sample_csv
+from toepspec import experiments
 from toepspec.errors import ConfigError
 from toepspec.experiments import (
     ExperimentConfig,
@@ -334,3 +336,54 @@ class TestEigenvectorScenariosScaled:
         # resolved near radius r = 0.5; the unscaled solve returns a
         # rounding-noise ring at |lambda| ~ 0.63 here
         assert np.max(np.abs(observed)) <= 0.55
+
+
+class TestProbePlacement:
+    """Block placement against the per-draw placement it replaces, draw for draw."""
+
+    @pytest.mark.parametrize(
+        "text,r,count,seed",
+        [
+            ("-1:0.1;1:1", 0.5, 10, 1),  # c07b: stops at the discovery floor
+            ("-1:0.1;1:1", 0.5, 10, 2),
+            ("-1:1", 0.5, 4, 1),  # winding -1: regions beyond the radius-1/r curve
+            ("-1:1", 0.5, 4, 2),
+            ("-1:0.3;2:1", 0.5, 40, 4),  # the thin S2,3 fills after ~8k draws
+            ("-1:0.3;2:1", 0.5, 40, 9),
+            ("-2:1;1:0.2", 0.6, 10, 1),  # stops after 6-7k draws
+            ("-2:1;1:0.2", 0.6, 10, 3),
+        ],
+    )
+    def test_regions_match_per_draw_placement(self, text, r, count, seed):
+        sym = parse_symbol(text)
+        got = experiments._probe_points_regions(sym, r, count, 0.1, seed)
+        assert got == probe_points_regions_per_draw(sym, r, count, 0.1, seed)
+        assert all(type(z) is complex for zs in got.values() for z in zs)
+
+    def test_draw_cap_below_discovery_floor(self, monkeypatch):
+        # the cap ends the draws inside a block, before any stop test can pass
+        monkeypatch.setattr(experiments, "_REGION_MAX_DRAWS", 2500)
+        sym = parse_symbol("-1:0.3;2:1")
+        got = experiments._probe_points_regions(sym, 0.5, 40, 0.1, 1)
+        assert got == probe_points_regions_per_draw(sym, 0.5, 40, 0.1, 1)
+        assert "S2,3" not in got
+
+    @pytest.mark.parametrize("text,seed", [("-1:0.5;1:1", 1), ("-1:0.5;1:1", 2), ("-2:1;1:0.3", 1)])
+    def test_off_support_matches_per_draw_placement(self, text, seed):
+        sym = parse_symbol(text)
+        got = experiments._probe_points_off_support(sym, 10, 0.1, seed)
+        assert got == probe_points_off_support_per_draw(sym, 10, 0.1, seed)
+
+    def test_margin_test_is_the_exact_expression_at_the_margin(self):
+        # margins set to each z's own distance, as np.abs and as the k-d tree
+        # round it: the tree's verdict alone would be wrong for some of them
+        rng = np.random.default_rng(3)
+        curves = rng.normal(size=50) + 1j * rng.normal(size=50)
+        zs = rng.normal(size=200) + 1j * rng.normal(size=200)
+        exact = np.array([np.min(np.abs(curves - z)) for z in zs])
+        tree = np.array([np.min(np.sqrt((curves.real - z.real) ** 2 + (curves.imag - z.imag) ** 2)) for z in zs])
+        margins = np.concatenate([exact[exact != tree], tree[exact != tree]])
+        assert len(margins) >= 20
+        tree = cKDTree(np.column_stack([curves.real, curves.imag]))
+        for margin in margins:
+            assert experiments._near_curves(curves, tree, zs, margin).tolist() == (exact < margin).tolist()

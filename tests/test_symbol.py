@@ -19,6 +19,7 @@ from toepspec.symbol import (
     format_symbol,
     parse_symbol,
     root_profile,
+    root_profiles,
     winding_number,
 )
 
@@ -148,6 +149,32 @@ class TestRootProfile:
             assert all(a >= b - 1e-12 for a, b in zip(mods, mods[1:]))
 
 
+class TestRootProfiles:
+    """The stacked kernel row by row against its one-point case."""
+
+    def test_random_symbols(self):
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            sym = random_symbol(rng, max_band=5)
+            # a0 and 0 drop the degree or strip a root at 0 for some shapes
+            zs = [complex(rng.normal(), rng.normal()) * 2 for _ in range(6)] + [sym.coeffs.get(0, 0j), 0j]
+            assert root_profiles(sym, zs) == [root_profile(sym, z) for z in zs]
+
+    def test_degree_changing_rows_in_one_call(self):
+        for sym, special in ((JORDAN, 0j), (parse_symbol("0:1;1:1"), 1 + 0j)):
+            zs = [0.3 + 0.2j, special, 2.0 + 0j, special, -1j]
+            profs = root_profiles(sym, zs)
+            assert profs == [root_profile(sym, z) for z in zs]
+            assert profs[1] == profs[3]
+        jordan_at_0 = root_profiles(JORDAN, [0.5, 0])[1]
+        assert (jordan_at_0.infinite, jordan_at_0.roots) == (1, ())
+        stripped = root_profiles(parse_symbol("0:1;1:1"), [2, 1])[1]
+        assert (stripped.infinite, stripped.roots, stripped.mminus) == (0, (0j,), 1)
+
+    def test_empty_input(self):
+        assert root_profiles(TRIDIAG, []) == []
+
+
 class TestWinding:
     def test_jordan_clockwise(self):
         assert winding_number(JORDAN, 0) == -1
@@ -209,10 +236,11 @@ class TestClassify:
         res = np.linspace(-2.6, 2.6, n)
         ims = np.linspace(-2.6, 2.6, n)
         labels = {}
+        profs = iter(root_profiles(sym, [complex(x, y) for y in ims for x in res]))
         for j, y in enumerate(ims):
             for i, x in enumerate(res):
                 try:
-                    labels[(i, j)] = classify_region(sym, complex(x, y), r)
+                    labels[(i, j)] = classify_region(sym, complex(x, y), r, next(profs))
                 except (BoundaryError, OnCurveError):
                     labels[(i, j)] = None
         assert sum(1 for v in labels.values() if v is None) < n * n // 100

@@ -77,6 +77,9 @@ def configs() -> dict:
         # where two log r factors add
         "lsd_exp_d2_upper": _cfg("lsd_exp", symbol="2:1", pert=EXP, probe_count=4),
         "lsd_exp_d2_lower": _cfg("lsd_exp", symbol="-2:1", pert=EXP, probe_count=4),
+        # region probing that stops well past the discovery floor, after about 11k and 7k draws
+        "lsd_exp_thin_region": _cfg("lsd_exp", symbol="-1:0.3;2:1", pert=EXP, probe_count=40),
+        "lsd_exp_d_minus2": _cfg("lsd_exp", symbol="-2:1;1:0.2", pert={"kind": "exp", "r": 0.6}, probe_count=10),
         "lsd_superexp": _cfg(
             "lsd_superexp", symbol="-1:0.5;1:1", pert={"kind": "superexp", "c": 1.0}, probe_count=4
         ),
