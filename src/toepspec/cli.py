@@ -87,18 +87,15 @@ def _cmd_spectrum(args) -> int:
     pert = PerturbationSpec.parse(args.pert)
     noise = NoiseSpec(args.noise)
     eigs = experiments.trial_eigenvalues(sym, args.n, pert, noise, args.seed)
-    sample = measures.SpectralSample(
-        points=eigs,
-        meta={
+    if args.out:
+        meta = {
             "symbol": args.symbol,
             "n": args.n,
             "pert": pert.to_dict(),
             "noise": noise.kind,
             "seed": args.seed,
-        },
-    )
-    if args.out:
-        measures.write_sample_csv(sample, args.out)
+        }
+        measures.write_sample_csv(eigs, meta, args.out)
         print(f"wrote {args.out}")
     if args.plot:
         write_scatter(args.plot, eigs, curve_samples(sym, 720), f"spectrum n={args.n} pert={args.pert}")

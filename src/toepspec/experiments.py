@@ -30,7 +30,8 @@ from scipy.spatial import cKDTree
 
 from . import eigloc, grushin, linalg, matrixgen, measures, pseudospec, svgplot
 from ._pool import map_chunks
-from .errors import BoundaryError, ConfigError, NonFiniteError, OnCurveError, SizeLimitError, ToepspecError
+from .errors import BoundaryError, ConfigError, ConvergenceError, NonFiniteError, OnCurveError
+from .errors import SizeLimitError, ToepspecError
 from .matrixgen import NoiseSpec, PerturbationSpec, is_real, task_seed
 from .symbol import (
     LaurentSymbol,
@@ -290,14 +291,18 @@ def _probe_blocks(sym: LaurentSymbol, radii, pad: float, seed: int, total: int):
     """`total` pseudo-random points, uniform on the padded box around the curves at radii, in blocks.
 
     Each block draws (re, im) pairs row by row: the same stream as drawing
-    re and im alternately, one point at a time.
+    re and im alternately, one point at a time.  The box is built and checked
+    on the call, before the first block is drawn.
     """
-    pts = np.concatenate([curve_samples(sym, 256, rad) for rad in radii])
-    lo = np.array([pts.real.min(), pts.imag.min()]) - pad
-    hi = np.array([pts.real.max(), pts.imag.max()]) + pad
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = np.concatenate([curve_samples(sym, 256, rad) for rad in radii])
+        lo = np.array([pts.real.min(), pts.imag.min()]) - pad
+        hi = np.array([pts.real.max(), pts.imag.max()]) + pad
+        if not np.all(np.isfinite(hi - lo)):
+            raise NonFiniteError(f"the probe box around the symbol curves at radii {radii} overflows")
     rng = np.random.Generator(np.random.Philox(key=task_seed(seed, _PROBE_STREAM)))
-    for start in range(0, total, _PROBE_BLOCK):
-        yield rng.uniform(lo, hi, size=(min(_PROBE_BLOCK, total - start), 2)).view(complex).ravel()
+    sizes = (min(_PROBE_BLOCK, total - start) for start in range(0, total, _PROBE_BLOCK))
+    return (rng.uniform(lo, hi, size=(b, 2)).view(complex).ravel() for b in sizes)
 
 
 def _near_curves(curves: np.ndarray, tree: cKDTree, zs: np.ndarray, margin: float) -> np.ndarray:
@@ -324,12 +329,13 @@ def _probe_points_regions(
     statements are then tested on generic points of each fat region.
     """
     radii = (1.0, r, 1.0 / r)
+    blocks = _probe_blocks(sym, radii, 2 * margin + 0.3, seed, _REGION_MAX_DRAWS)
     curves = np.concatenate([curve_samples(sym, 720, rad) for rad in radii])
     tree = cKDTree(np.column_stack([curves.real, curves.imag]))
 
     def draws():
         """Each draw with its root profile, or None within margin of a curve."""
-        for zs in _probe_blocks(sym, radii, 2 * margin + 0.3, seed, _REGION_MAX_DRAWS):
+        for zs in blocks:
             near = _near_curves(curves, tree, zs, margin)
             profs = iter(root_profiles(sym, zs[~near]))
             for z, too_near in zip(zs.tolist(), near.tolist()):
@@ -378,12 +384,9 @@ def _probe_points_off_support(sym: LaurentSymbol, count: int, gap_margin: float,
 
 def _logpot_devs(eig_trials, zs, sym: LaurentSymbol, r: float) -> list[float]:
     """|mean over trials of the empirical log-potential at z - limit_logpot(sym, z, r)| per probe z."""
-    samples = [measures.SpectralSample(e) for e in eig_trials]
-    return [
-        abs(float(np.mean([measures.empirical_logpot(s, z) for s in samples]))
-            - measures.limit_logpot(sym, z, r))
-        for z in zs
-    ]
+    # probes x trials, C-contiguous: each mean reduces a contiguous row, as np.mean of a list does
+    emp = np.stack([measures.empirical_logpot(e, zs) for e in eig_trials], axis=1)
+    return np.abs(emp.mean(axis=1) - measures.limit_logpot(sym, zs, r)).tolist()
 
 
 def _write_eigs_artifacts(ens: TrialEnsemble, out_dir: Path) -> list[str]:
@@ -391,20 +394,17 @@ def _write_eigs_artifacts(ens: TrialEnsemble, out_dir: Path) -> list[str]:
     eigs = ens.eigs(0)
     # the stored seed is the realization's own seed, so the sample can be
     # regenerated bit-exactly from the sidecar alone (via trial_eigenvalues)
-    sample = measures.SpectralSample(
-        points=eigs,
-        meta={
-            "symbol": cfg.symbol,
-            "n": cfg.n,
-            "pert": cfg.pert.to_dict(),
-            "noise": cfg.noise.kind,
-            "seed": ens.seeds[0],
-            "master_seed": cfg.seed,
-            "trial": 0,
-        },
-    )
+    meta = {
+        "symbol": cfg.symbol,
+        "n": cfg.n,
+        "pert": cfg.pert.to_dict(),
+        "noise": cfg.noise.kind,
+        "seed": ens.seeds[0],
+        "master_seed": cfg.seed,
+        "trial": 0,
+    }
     csv_path = out_dir / "eigenvalues.csv"
-    measures.write_sample_csv(sample, csv_path)
+    measures.write_sample_csv(eigs, meta, csv_path)
     svg_path = out_dir / "eigenvalues.svg"
     svgplot.write_scatter(svg_path, eigs, curve_samples(ens.sym, 512), f"{cfg.scenario}: one realization")
     return [str(csv_path), str(csv_path) + ".meta.json", str(svg_path)]
@@ -452,9 +452,9 @@ def _scenario(name, description, criteria, defaults, pert_kind=None, eig_artifac
 )
 def _run_lsd_subexp(ens: TrialEnsemble, params: dict, out_dir):
     n = ens.cfg.n
-    push = measures.pushforward_sample(ens.sym, n)
+    push = curve_samples(ens.sym, n)
     band = params["band_mult"] * math.log(n) / n
-    energies = [measures.energy_distance(measures.SpectralSample(e), push) for e in ens.eigenvalues]
+    energies = [measures.energy_distance(e, push) for e in ens.eigenvalues]
     band_fracs = [
         float(np.mean(measures.dist_to_curve(e, ens.sym) <= band))
         for e in ens.eigenvalues
@@ -667,7 +667,7 @@ def _localization_rows(ens: TrialEnsemble, band_lo, band_hi, mu1):
             d_curve = float(dists[idx])
             try:
                 v = ens.eigenvector(t, lam)
-            except ToepspecError:
+            except ConvergenceError:
                 continue
             direction = "forward" if w < 0 else "reverse"
             profile = eigloc.tail_norm_profile(v, direction)
@@ -742,7 +742,7 @@ def _run_eigvec_outlier(ens: TrialEnsemble, params: dict, out_dir):
         for lam in sorted(inside, key=lambda c: (c.real, c.imag)):
             try:
                 v = ens.eigenvector(t, lam)
-            except ToepspecError:
+            except ConvergenceError:
                 continue
             found.append(
                 {

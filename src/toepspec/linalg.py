@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 import scipy.linalg as sla
 
-from .errors import ConvergenceError, ShapeError
+from .errors import ConvergenceError, NonFiniteError, ShapeError
 
 
 def _one_blas_thread() -> None:
@@ -217,7 +217,10 @@ def eigenvector(m: np.ndarray, lam: complex) -> np.ndarray:
     n = m.shape[0]
     # ||m||_F / sqrt(n) lower-bounds the spectral norm, so the residual
     # contract is met without an extra O(n^3) norm computation per call
-    scale = float(np.linalg.norm(m)) / math.sqrt(n)
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(m)) / math.sqrt(n)
+    if not math.isfinite(scale):
+        raise NonFiniteError("the matrix norm overflows")
     shift = complex(lam)
     lu, piv = _lu_factor(m - shift * np.eye(n))
     if np.abs(np.diag(lu)).min() == 0.0:

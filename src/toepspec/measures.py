@@ -1,27 +1,26 @@
 """Empirical spectral measures, closed-form limit log-potentials, and
 distances between point sets.
 
-The log-potential of a measure mu at z is int log|z - x| dmu(x); for the
-empirical measure of eigenvalues it is (1/n) sum log|z - lambda_i|, which is
-also (1/n) log|det(z - M)|.  One closed form in r covers the three limit
-laws: the push-forward of the uniform circle measure by the symbol (r = 1,
-polynomially small noise), its radius-r refinement (noise at scale r^N) and
-the law of the unperturbed matrices themselves (r = 0, super-exponentially
-small noise).
+Spectra and probe sets are plain complex arrays.  The log-potential of a
+measure mu at z is int log|z - x| dmu(x); for the empirical measure of
+eigenvalues it is (1/n) sum log|z - lambda_i|, which is also
+(1/n) log|det(z - M)|.  One closed form in r covers the three limit laws: the
+push-forward of the uniform circle measure by the symbol (r = 1, polynomially
+small noise), its radius-r refinement (noise at scale r^N) and the law of the
+unperturbed matrices themselves (r = 0, super-exponentially small noise).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, EmptyDataError, NonFiniteError, ShapeError, SizeLimitError
-from .symbol import LaurentSymbol, curve_samples, evaluate, root_profile
+from .symbol import LaurentSymbol, curve_samples, evaluate, root_profile, root_profiles
 # unused here, but bench/test_bench.py pins this binding until ROADMAP item 1 lands
 from .symbol import classify_region  # noqa: F401
 
@@ -30,30 +29,19 @@ MATCH_MAX_POINTS = 1024
 CURVE_SAMPLES = 1024
 
 
-@dataclass(frozen=True)
-class SpectralSample:
-    """A set of spectral points plus the provenance needed to regenerate it."""
-
-    points: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=complex).ravel())
-
-
-def empirical_logpot(sample: SpectralSample, z: complex) -> float:
-    """(1/n) sum log|z - lambda_i|; -inf when z hits a point exactly."""
-    pts = sample.points
+def empirical_logpot(points, z):
+    """(1/n) sum log|z - lambda_i| at a point z, or at each z of an array; -inf where z hits a point."""
+    pts = np.asarray(points, dtype=complex).ravel()
     if len(pts) == 0:
         raise EmptyDataError("empty spectral sample")
-    d = np.abs(z - pts)
-    if np.any(d == 0):
-        return -math.inf
-    return float(np.mean(np.log(d)))
+    zs = np.asarray(z, dtype=complex)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.abs(zs[..., None] - pts)).mean(axis=-1)
+    return out if out.ndim else float(out)
 
 
-def limit_logpot(symbol: LaurentSymbol, z: complex, r: float) -> float:
-    """Log-potential at z of the limit law under noise at coupling r^N, 0 <= r <= 1.
+def limit_logpot(symbol: LaurentSymbol, z, r: float):
+    """Log-potential at z, a point or an array, of the limit law under noise at coupling r^N, 0 <= r <= 1.
 
     With k = nplus_eff and the roots zeta_j of q_z sorted by nonincreasing
     modulus, the value is
@@ -71,24 +59,27 @@ def limit_logpot(symbol: LaurentSymbol, z: complex, r: float) -> float:
     """
     if not 0 <= r <= 1:
         raise DomainError("the radius parameter must lie in [0, 1]")
-    prof = root_profile(symbol, z)
+    zs = np.asarray(z, dtype=complex)
     k = symbol.nplus_eff
-    val = math.log(abs(prof.leading))
-    # roots contributing log r: at infinity past k, below r before k, beyond 1/r past k
-    n_r = max(prof.infinite - k, 0)
-    for j, root in enumerate(prof.roots, start=prof.infinite):
-        m = abs(root)
-        if j < k:
-            if m > r:
+    vals = []
+    for prof in root_profiles(symbol, zs):
+        val = math.log(abs(prof.leading))
+        # roots contributing log r: at infinity past k, below r before k, beyond 1/r past k
+        n_r = max(prof.infinite - k, 0)
+        for j, root in enumerate(prof.roots, start=prof.infinite):
+            m = abs(root)
+            if j < k:
+                if m > r:
+                    val += math.log(m)
+                else:
+                    n_r += 1
+            elif r * m > 1:
                 val += math.log(m)
-            else:
                 n_r += 1
-        elif r * m > 1:
-            val += math.log(m)
-            n_r += 1
-    if n_r == 0:
-        return val
-    return val + n_r * math.log(r) if r > 0 else -math.inf
+        if n_r:
+            val = val + n_r * math.log(r) if r > 0 else -math.inf
+        vals.append(val)
+    return np.reshape(vals, zs.shape) if zs.ndim else vals[0]
 
 
 def split_root_moduli(symbol: LaurentSymbol, z: complex) -> tuple[float, float]:
@@ -98,24 +89,19 @@ def split_root_moduli(symbol: LaurentSymbol, z: complex) -> tuple[float, float]:
     return (mods[k - 1] if k >= 1 else math.inf), (mods[k] if k < len(mods) else 0.0)
 
 
-def pushforward_sample(symbol: LaurentSymbol, n: int) -> SpectralSample:
-    """The deterministic n-point quadrature of the push-forward measure a(U)."""
-    pts = curve_samples(symbol, n)
-    return SpectralSample(points=pts, meta={"kind": "pushforward", "n": n})
-
-
-def energy_distance(sample_a: SpectralSample, sample_b: SpectralSample) -> float:
-    """2 E|X - Y| - E|X - X'| - E|Y - Y'| over the two empirical laws.
+def energy_distance(xs, ys) -> float:
+    """2 E|X - Y| - E|X - X'| - E|Y - Y'| over the empirical laws of two point sets.
 
     V-statistic form (diagonal pairs included), so the distance is exactly 0
     iff the empirical measures coincide.
     """
-    xs, ys = sample_a.points, sample_b.points
+    xs, ys = (np.asarray(v, dtype=complex).ravel() for v in (xs, ys))
     if len(xs) == 0 or len(ys) == 0:
         raise EmptyDataError("energy distance needs nonempty samples")
-    exy = float(np.mean(np.abs(xs[:, None] - ys[None, :])))
-    exx = float(np.mean(np.abs(xs[:, None] - xs[None, :])))
-    eyy = float(np.mean(np.abs(ys[:, None] - ys[None, :])))
+    with np.errstate(over="ignore"):  # overflowing points give a non-finite distance for the caller to report
+        exy = float(np.mean(np.abs(xs[:, None] - ys[None, :])))
+        exx = float(np.mean(np.abs(xs[:, None] - xs[None, :])))
+        eyy = float(np.mean(np.abs(ys[:, None] - ys[None, :])))
     return 2.0 * exy - exx - eyy
 
 
@@ -139,7 +125,8 @@ def match_cost(points, targets, p: float = 2.0) -> float:
     if not np.all(np.isfinite(cost)):
         raise NonFiniteError(f"the |.|^{p} costs overflow")
     rows, cols = linear_sum_assignment(cost)
-    return float(np.mean(cost[rows, cols]) ** (1.0 / p))
+    with np.errstate(over="ignore"):  # finite costs can still sum past the float range
+        return float(np.mean(cost[rows, cols]) ** (1.0 / p))
 
 
 def dist_to_curve(points, symbol: LaurentSymbol) -> np.ndarray:
@@ -190,10 +177,10 @@ def dist_to_curve(points, symbol: LaurentSymbol) -> np.ndarray:
     return out
 
 
-def write_sample_csv(sample: SpectralSample, path) -> None:
-    """Write points as `re,im` rows plus a JSON sidecar `<path>.meta.json`."""
+def write_sample_csv(points, meta: dict, path) -> None:
+    """Write points as `re,im` rows plus `meta` as a JSON sidecar `<path>.meta.json`."""
     path = Path(path)
-    rows = [f"{float(p.real)!r},{float(p.imag)!r}" for p in sample.points]
+    rows = [f"{float(p.real)!r},{float(p.imag)!r}" for p in points]
     path.write_text("\n".join(["re,im", *rows]) + "\n", encoding="utf-8")
     sidecar = path.with_name(path.name + ".meta.json")
-    sidecar.write_text(json.dumps(sample.meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")

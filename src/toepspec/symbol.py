@@ -27,6 +27,7 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     DomainError,
+    NonFiniteError,
     OnCurveError,
 )
 
@@ -208,7 +209,10 @@ def root_profiles(symbol: LaurentSymbol, zs) -> list[RootProfile]:
         m = deg - nzero
         roots = np.zeros((len(rows), deg), dtype=complex)
         if m > 0:
-            body = coeffs[rows, nzero : deg + 1] / coeffs[rows, deg : deg + 1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                body = coeffs[rows, nzero : deg + 1] / coeffs[rows, deg : deg + 1]
+            if not np.isfinite(body).all():
+                raise NonFiniteError("the monic normalization of the shifted symbol polynomial overflows")
             comp = np.zeros((len(rows), m, m), dtype=complex)
             comp[:, 1:, :-1] = np.eye(m - 1)
             comp[:, :, -1] = -body[:, :-1]

@@ -11,7 +11,6 @@ import numpy as np
 
 from toepspec import experiments, matrixgen, measures
 from toepspec.errors import BoundaryError, ConfigError, DomainError, OnCurveError, ShapeError
-from toepspec.measures import SpectralSample
 from toepspec.pseudospec import GridSpec, ScalarField
 from toepspec.symbol import LaurentSymbol, classify_region, curve_samples, root_profile, winding_number
 
@@ -115,8 +114,8 @@ def circle_quadrature_logpot(symbol: LaurentSymbol, z: complex, n: int = 4096, r
     return float(np.mean(np.log(vals)))
 
 
-def read_sample_csv(path) -> SpectralSample:
-    """Inverse of :func:`toepspec.measures.write_sample_csv`, sidecar metadata included."""
+def read_sample_csv(path) -> tuple[np.ndarray, dict]:
+    """Inverse of :func:`toepspec.measures.write_sample_csv`: the points and the sidecar metadata."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     if not lines or lines[0] != "re,im":
@@ -127,7 +126,7 @@ def read_sample_csv(path) -> SpectralSample:
         pts.append(complex(float(re_s), float(im_s)))
     sidecar = path.with_name(path.name + ".meta.json")
     meta = json.loads(sidecar.read_text(encoding="utf-8")) if sidecar.exists() else {}
-    return SpectralSample(points=np.asarray(pts, dtype=complex), meta=meta)
+    return np.asarray(pts, dtype=complex), meta
 
 
 def read_field_csv(path) -> ScalarField:

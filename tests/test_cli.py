@@ -225,6 +225,13 @@ def _params(scenario, **params):
         (_params("lsd_superexp", gap_margin=1.0), 1, "param gap_margin"),
         (_params("lsd_superexp", gap_margin=-0.1), 1, "param gap_margin"),
         ({**_params("pseudospec_map", grid=_GRID, matrix="circulant"), "n": 2}, 1, "too wide"),
+        (_params("lsd_exp", probe_margin=1e308), 2, "probe box"),
+        ({"symbol": "-1:1e308"}, 2, "probe box"),
+        ({"scenario": "lsd_superexp", "symbol": "-1:1e308;1:1", "pert": {"kind": "superexp", "c": 1}}, 2, "probe box"),
+        ({"scenario": "lsd_subexp", "symbol": "-1:1e308", "pert": {"kind": "poly", "gamma": 2}}, 2, "energy_distances"),
+        ({"scenario": "pairing", "symbol": "-1:1e308", "pert": {"kind": "poly", "gamma": 2}}, 2, "match_costs"),
+        ({"scenario": "no_outlier", "symbol": "-1:1e308", "n": 1, "pert": {"kind": "exp", "r": 0.1}}, 2, "overflows"),
+        ({**_params("eigvec_bulk", c_band=1e308), "symbol": "-1:1e308", "n": 7}, 2, "norm overflows"),
     ],
     ids=[
         "string_int_param",
@@ -255,14 +262,23 @@ def _params(scenario, **params):
         "gap_margin_one",
         "negative_gap_margin",
         "circulant_band_too_wide",
+        "overflowing_probe_margin",
+        "overflowing_probe_curves",
+        "overflowing_off_support_box",
+        "overflowing_energy_distance",
+        "overflowing_match_cost",
+        "overflowing_root",
+        "overflowing_matrix_norm",
     ],
 )
 def test_malformed_config_ends_in_one_line(tmp_path, capsys, patch, code, needle):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({**_TWO_SIDED, **patch}))
     assert main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == code
-    first = capsys.readouterr().err.splitlines()[0]
-    assert first.startswith(("error: ", "numerical failure: ")) and needle in first
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(("error: ", "numerical failure: ")) and needle in err[0]
+    # a numerical failure is the one line; a configuration error adds the usage hint
+    assert len(err) == (1 if code == 2 else 2)
 
 
 _SPECTRUM = ["spectrum", "--symbol", "-1:1", "--n", "4"]

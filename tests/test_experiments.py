@@ -297,8 +297,7 @@ class TestArtifactRegeneration:
     )
     def test_sample_meta_regenerates_bit_exactly(self, tmp_path, cfg):
         run(cfg, out_dir=tmp_path)
-        sample = read_sample_csv(tmp_path / "eigenvalues.csv")
-        meta = sample.meta
+        points, meta = read_sample_csv(tmp_path / "eigenvalues.csv")
         regenerated = trial_eigenvalues(
             parse_symbol(meta["symbol"]),
             meta["n"],
@@ -306,7 +305,7 @@ class TestArtifactRegeneration:
             NoiseSpec(meta["noise"]),
             meta["seed"],
         )
-        np.testing.assert_array_equal(regenerated, sample.points)
+        np.testing.assert_array_equal(regenerated, points)
 
 
 class TestEigenvectorScenariosScaled:

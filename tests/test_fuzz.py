@@ -79,7 +79,7 @@ def run_configs(draw):
     pert = {"kind": kind}
     if kind in PERT_FIELD:
         pert[PERT_FIELD[kind]] = draw(_mostly(st.sampled_from([0.1, 0.5, 2.0]), FLOATS | WRONG_TYPE))
-    symbols = st.sampled_from(["-1:1", "1:1", "-1:1;1:1", "-1:0.1;1:1", "-2:1;1:0.5,0.5"])
+    symbols = st.sampled_from(["-1:1", "1:1", "-1:1;1:1", "-1:0.1;1:1", "-2:1;1:0.5,0.5", "-1:1e308"])
     return {
         "scenario": name,
         "symbol": draw(_mostly(symbols, st.sampled_from(["0:1", "huh"]))),

@@ -14,7 +14,7 @@ import scipy.linalg as sla
 import toepspec
 from helpers import corner, jordan, ks_distance
 from toepspec import linalg
-from toepspec.errors import ShapeError
+from toepspec.errors import NonFiniteError, ShapeError
 from toepspec.linalg import (
     LogDet,
     eigenvalues,
@@ -331,6 +331,11 @@ class TestEigenvector:
         expect = np.array([1, 1j, -1, -1j]) / 2
         overlap = abs(np.vdot(v, expect))
         assert overlap == pytest.approx(1.0, abs=1e-8)
+
+    def test_overflowing_norm_raises(self):
+        # finite entries whose Frobenius norm overflows leave no residual contract to meet
+        with pytest.raises(NonFiniteError, match="norm overflows"):
+            eigenvector(np.diag([1e308, 1e308]), 1e308)
 
 
 class TestAvramParter:

@@ -6,13 +6,11 @@ import pytest
 from helpers import circle_quadrature_logpot, random_symbol, read_sample_csv
 from toepspec.errors import DomainError, ShapeError
 from toepspec.measures import (
-    SpectralSample,
     dist_to_curve,
     empirical_logpot,
     energy_distance,
     limit_logpot,
     match_cost,
-    pushforward_sample,
     split_root_moduli,
     write_sample_csv,
 )
@@ -23,20 +21,30 @@ TRIDIAG = parse_symbol("-1:1;1:1")
 SHIFT = parse_symbol("1:1")
 
 
-def sample(points):
-    return SpectralSample(points=np.asarray(points, dtype=complex))
-
-
 class TestEmpiricalLogpot:
     def test_single_point(self):
-        assert empirical_logpot(sample([0]), math.e) == pytest.approx(1.0)
+        assert empirical_logpot([0], math.e) == pytest.approx(1.0)
 
     def test_roots_of_unity_at_zero(self):
         pts = np.exp(2j * np.pi * np.arange(4) / 4)
-        assert empirical_logpot(sample(pts), 0) == pytest.approx(0.0, abs=1e-14)
+        assert empirical_logpot(pts, 0) == pytest.approx(0.0, abs=1e-14)
 
     def test_hit_is_minus_inf(self):
-        assert empirical_logpot(sample([0]), 0) == -math.inf
+        assert empirical_logpot([0], 0) == -math.inf
+
+    def test_array_equals_per_point_bit_for_bit(self):
+        rng = np.random.default_rng(78)
+        pts = rng.standard_normal(37) + 1j * rng.standard_normal(37)
+        # the last probe is an eigenvalue: -inf there, with no divide warning
+        zs = np.append(rng.uniform(-2, 2, 9) + 1j * rng.uniform(-2, 2, 9), pts[5])
+        got = empirical_logpot(pts, zs)
+        assert got.shape == zs.shape and got[-1] == -math.inf
+        for i, z in enumerate(zs[:-1]):
+            assert got[i] == np.mean(np.log(np.abs(z - pts)))
+            assert got[i] == empirical_logpot(pts, z)
+
+    def test_empty_probe_array(self):
+        assert empirical_logpot([1, 2], np.zeros(0, dtype=complex)).shape == (0,)
 
 
 class TestLimitClosedForms:
@@ -107,14 +115,29 @@ class TestLimitSubexp:
             assert err <= 1e-12
             assert abs(limit_logpot(sym, z, 1.0) - float(quad) / (2 * math.pi)) <= 1e-10
 
+    @pytest.mark.parametrize("r", [0.0, 0.3, 1.0])
+    def test_array_equals_per_point(self, r):
+        rng = np.random.default_rng(79)
+        for _ in range(8):
+            sym = random_symbol(rng)
+            zs = rng.uniform(-3, 3, 12) + 1j * rng.uniform(-3, 3, 12)
+            got = limit_logpot(sym, zs, r)
+            assert got.shape == zs.shape
+            assert got.tolist() == [limit_logpot(sym, z, r) for z in zs]
+
+    def test_array_with_jordan_atom(self):
+        # the Jordan law at r = 0 is a point mass at 0: -inf there, log|z| elsewhere
+        zs = np.array([0.0, 0.5 + 0.5j, 2.0])
+        got = limit_logpot(JORDAN, zs, 0.0)
+        assert got.tolist() == [limit_logpot(JORDAN, z, 0.0) for z in zs]
+        assert got[0] == -math.inf and got[2] == pytest.approx(math.log(2))
+
     def test_jensen_cross_check(self):
         rng = np.random.default_rng(70)
         checked = 0
         while checked < 50:
             sym = random_symbol(rng)
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            from toepspec.symbol import curve_samples
-
             if float(np.min(np.abs(curve_samples(sym, 1024) - z))) < 0.05:
                 continue
             formula = limit_logpot(sym, z, 1.0)
@@ -236,29 +259,29 @@ class TestLimitUnperturbed:
 
 
 class TestPushforward:
+    """curve_samples(symbol, n) as the n-point quadrature of the push-forward law a(U)."""
+
     def test_jordan_roots_of_unity(self):
-        pts = pushforward_sample(JORDAN, 4).points
+        pts = curve_samples(JORDAN, 4)
         assert sorted(np.round(pts, 12).tolist(), key=lambda c: (c.real, c.imag)) == sorted(
             [1, 1j, -1, -1j], key=lambda c: (c.real, c.imag)
         )
 
     def test_tridiagonal_points(self):
-        pts = np.sort_complex(pushforward_sample(TRIDIAG, 4).points)
+        pts = np.sort_complex(curve_samples(TRIDIAG, 4))
         np.testing.assert_allclose(pts, [-2, 0, 0, 2], atol=1e-12)
 
     def test_second_moment(self):
-        pts = pushforward_sample(JORDAN, 64).points
+        pts = curve_samples(JORDAN, 64)
         assert float(np.mean(np.abs(pts) ** 2)) == pytest.approx(1.0, rel=1e-12)
 
     def test_empirical_converges_to_limit(self):
         rng = np.random.default_rng(72)
-        push = pushforward_sample(TRIDIAG, 4096)
+        push = curve_samples(TRIDIAG, 4096)
         checked = 0
         while checked < 20:
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             lim = limit_logpot(TRIDIAG, z, 1.0)
-            from toepspec.symbol import curve_samples
-
             if float(np.min(np.abs(curve_samples(TRIDIAG, 512) - z))) < 0.05:
                 continue
             emp = empirical_logpot(push, z)
@@ -270,18 +293,18 @@ class TestEnergyDistance:
     def test_identical_zero(self):
         rng = np.random.default_rng(73)
         pts = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        assert energy_distance(sample(pts), sample(pts)) == pytest.approx(0.0, abs=1e-13)
+        assert energy_distance(pts, pts) == pytest.approx(0.0, abs=1e-13)
 
     def test_point_masses(self):
-        assert energy_distance(sample([0]), sample([0])) == 0.0
-        assert energy_distance(sample([0]), sample([1])) == pytest.approx(2.0)
+        assert energy_distance([0], [0]) == 0.0
+        assert energy_distance([0], [1]) == pytest.approx(2.0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(74)
         pts = rng.standard_normal(15) + 1j * rng.standard_normal(15)
         other = rng.standard_normal(15) + 1j * rng.standard_normal(15)
-        d1 = energy_distance(sample(pts), sample(other))
-        d2 = energy_distance(sample(np.flip(pts)), sample(rng.permutation(other)))
+        d1 = energy_distance(pts, other)
+        d2 = energy_distance(np.flip(pts), rng.permutation(other))
         assert d1 == pytest.approx(d2, rel=1e-12)
 
 
@@ -354,9 +377,9 @@ class TestCsvRoundtrip:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(77)
         pts = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        s = SpectralSample(points=pts, meta={"symbol": "-1:1", "n": 9, "seed": 5})
+        meta = {"symbol": "-1:1", "n": 9, "seed": 5}
         path = tmp_path / "sample.csv"
-        write_sample_csv(s, path)
-        back = read_sample_csv(path)
-        np.testing.assert_array_equal(back.points, s.points)
-        assert back.meta == s.meta
+        write_sample_csv(pts, meta, path)
+        back, back_meta = read_sample_csv(path)
+        np.testing.assert_array_equal(back, pts)
+        assert back_meta == meta

@@ -9,6 +9,7 @@ from toepspec.errors import (
     ConfigError,
     DegenerateInputError,
     DomainError,
+    NonFiniteError,
     OnCurveError,
 )
 from toepspec.symbol import (
@@ -173,6 +174,11 @@ class TestRootProfiles:
 
     def test_empty_input(self):
         assert root_profiles(TRIDIAG, []) == []
+
+    def test_root_beyond_float_range_raises(self):
+        # q_z = 1e308 - z zeta has its root at 1e308 / z
+        with pytest.raises(NonFiniteError, match="overflows"):
+            root_profiles(parse_symbol("-1:1e308"), [0.5, 1e-10])
 
 
 class TestWinding:
