@@ -776,8 +776,9 @@ def _run_grushin(ens: TrialEnsemble, params: dict, out_dir):
     alpha = params["alpha"] if params["alpha"] is not None else 1.0 / cfg.n
     delta = cfg.pert.coupling(cfg.n)
     a = matrixgen.toeplitz(ens.sym, cfg.n) - z * np.eye(cfg.n)
+    sv = linalg.svd(a).singular_values
     gaps = [
-        grushin.equivalence_gap(a, matrixgen.sample_noise(cfg.noise, cfg.n, s), delta, alpha)
+        grushin.equivalence_gap(a, sv, matrixgen.sample_noise(cfg.noise, cfg.n, s), delta, alpha)
         for s in ens.seeds
     ]
     ok_frac = float(np.mean([g <= params["gap_tol"] for g in gaps]))

@@ -8,7 +8,8 @@ small singular values.  This gives the deterministic equivalence
     (1/N) log|det(A + delta Q)| ~ (1/N) sum_{s_j > alpha} log s_j
 
 for couplings delta well below alpha, which is the quantity
-:func:`equivalence_gap` measures.
+:func:`equivalence_gap` measures.  The right side depends on A alone, so its
+singular values are taken once per matrix and shared by every gap.
 """
 
 from __future__ import annotations
@@ -155,16 +156,16 @@ def perturbed_blocks(g: GrushinFactorization, q: np.ndarray, delta: float) -> Pe
     )
 
 
-def truncated_logdet(a: np.ndarray, alpha: float) -> float:
-    """(1/N) sum of log s_j over the singular values above alpha; 0 when none clears it."""
-    s = svd(a).singular_values
+def truncated_logdet(s: np.ndarray, alpha: float) -> float:
+    """(1/N) sum of log s_j over s_j > alpha (0 if none); s = svd(a).singular_values, taken once per matrix."""
     return float(np.sum(np.log(s[s > alpha]))) / len(s)
 
 
-def equivalence_gap(a: np.ndarray, q: np.ndarray, delta: float, alpha: float) -> float:
+def equivalence_gap(a: np.ndarray, s: np.ndarray, q: np.ndarray, delta: float, alpha: float) -> float:
     """| (1/N) log|det(A + delta Q)| - (1/N) sum_{s_j > alpha} log s_j |.
 
-    Returns +inf when the perturbed matrix is numerically singular.
+    s holds the singular values of A, ``svd(a).singular_values``, taken once
+    per matrix.  Returns +inf when the perturbed matrix is numerically singular.
     """
     a = np.asarray(a, dtype=complex)
     q = np.asarray(q, dtype=complex)
@@ -174,4 +175,4 @@ def equivalence_gap(a: np.ndarray, q: np.ndarray, delta: float, alpha: float) ->
     ld = lu_logdet(a + delta * q)
     if not math.isfinite(ld.log_abs):
         return math.inf
-    return abs(ld.log_abs / n - truncated_logdet(a, alpha))
+    return abs(ld.log_abs / n - truncated_logdet(s, alpha))

@@ -19,6 +19,7 @@ of OPENBLAS_NUM_THREADS.  Their idle pool threads stop, so forks are safe.
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import math
 from dataclasses import dataclass
@@ -71,7 +72,7 @@ def _lu_solve(lu, piv, b, trans=0):
     return _getrs(lu, piv, b, trans=trans)[0]
 
 
-# Fixed Philox keys for the deterministic start vectors of the iterative kernels.
+# Fixed Philox keys for the start vectors of the iterative kernels, each drawn once per (key, n).
 _SMIN_KEY = 0x5EEDC0DE
 _EIGVEC_KEY = 0x5EEDBEEF
 
@@ -84,11 +85,14 @@ _SMIN_RTOL = 1e-10
 _EIGVEC_MAX_ITER = 50
 
 
+@functools.cache
 def _start_vector(key: int, n: int) -> np.ndarray:
-    """Unit complex Gaussian vector of length n; the same key gives the same bits."""
+    """Unit complex Gaussian vector of length n, read-only; the same key gives the same bits."""
     rng = np.random.Generator(np.random.Philox(key=key))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+    v = v / np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
 
 
 def _require_square(m: np.ndarray) -> np.ndarray:

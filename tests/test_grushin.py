@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from toepspec import grushin, linalg
 from toepspec.errors import AmbiguousCutError, CouplingTooLargeError, ShapeError
+from toepspec.experiments import ExperimentConfig, run
 from toepspec.grushin import (
     build,
     equivalence_gap,
     perturbed_blocks,
     truncated_logdet,
 )
-from toepspec.linalg import lu_logdet, smallest_singular
-from toepspec.matrixgen import toeplitz
+from toepspec.linalg import lu_logdet, smallest_singular, svd
+from toepspec.matrixgen import NoiseSpec, PerturbationSpec, sample_noise, task_seed, toeplitz
 from toepspec.symbol import parse_symbol
 
 TRIDIAG = parse_symbol("-1:1;1:1")
@@ -162,21 +164,26 @@ class TestPerturbedBlocks:
             assert lhs <= rhs + 1e-10 * scale
 
 
+def sv(a):
+    return svd(a).singular_values
+
+
 class TestTruncatedLogdet:
     def test_diagonal_example(self):
-        t = truncated_logdet(np.diag([0.1, 2.0, 3.0]), alpha=1.0)
+        t = truncated_logdet(sv(np.diag([0.1, 2.0, 3.0])), alpha=1.0)
         assert t == pytest.approx(math.log(6) / 3, rel=1e-12)
 
     def test_identity_below_threshold(self):
-        assert truncated_logdet(np.eye(5), alpha=0.5) == pytest.approx(0.0, abs=1e-14)
+        assert truncated_logdet(sv(np.eye(5)), alpha=0.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_empty_sum_is_zero(self):
-        t = truncated_logdet(np.eye(5), alpha=2.0)
+        t = truncated_logdet(sv(np.eye(5)), alpha=2.0)
         assert type(t) is float and t == 0.0
 
     def test_non_square_rejected(self):
+        # truncated_logdet sees only singular values; the matrix reaches equivalence_gap
         with pytest.raises(ShapeError):
-            truncated_logdet(np.ones((2, 3)), alpha=0.5)
+            equivalence_gap(np.ones((2, 3)), np.ones(2), np.ones((2, 3)), 0.1, alpha=0.5)
 
 
 class TestEquivalenceGap:
@@ -184,7 +191,7 @@ class TestEquivalenceGap:
         rng = np.random.default_rng(58)
         a = random_complex(rng, 12)
         smin = float(np.linalg.svd(a, compute_uv=False).min())
-        gap = equivalence_gap(a, np.zeros((12, 12)), 0.1, alpha=smin / 2)
+        gap = equivalence_gap(a, sv(a), np.zeros((12, 12)), 0.1, alpha=smin / 2)
         assert gap <= 1e-12
 
     def test_schur_identity(self):
@@ -214,5 +221,41 @@ class TestEquivalenceGap:
         a = toeplitz(TRIDIAG, n) - z * np.eye(n)
         rng = np.random.default_rng(60)
         q = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-        gap = equivalence_gap(a, q, n**-3.0, alpha=1.0 / n)
+        gap = equivalence_gap(a, sv(a), q, n**-3.0, alpha=1.0 / n)
         assert gap <= 0.05
+
+
+class TestGrushinRun:
+    def test_one_svd_per_run_with_per_trial_svd_gaps(self, monkeypatch):
+        cfg = ExperimentConfig(
+            scenario="grushin",
+            symbol="-1:1;1:1",
+            n=40,
+            pert=PerturbationSpec("poly", gamma=3),
+            noise=NoiseSpec("complex_gaussian"),
+            trials=3,
+            seed=505,
+        )
+        # the gaps as computed before the hoist: a fresh SVD of a in every trial
+        n, z, alpha = cfg.n, 3.0 + 0.2j, 1.0 / cfg.n
+        delta = cfg.pert.coupling(n)
+        a = toeplitz(TRIDIAG, n) - z * np.eye(n)
+        gaps = []
+        for t in range(cfg.trials):
+            q = sample_noise(cfg.noise, n, task_seed(cfg.seed, t))
+            s = svd(a).singular_values
+            truncated = float(np.sum(np.log(s[s > alpha]))) / len(s)
+            gaps.append(abs(lu_logdet(a + delta * q).log_abs / n - truncated))
+
+        calls = []
+
+        def counted(m, want_vectors=False):
+            calls.append(want_vectors)
+            return svd(m, want_vectors)
+
+        monkeypatch.setattr(linalg, "svd", counted)
+        monkeypatch.setattr(grushin, "svd", counted)
+        report = run(cfg)
+        assert calls == [False]
+        assert report.metrics["gaps_max"] == max(gaps)
+        assert report.metrics["gaps_median"] == float(np.median(gaps))

@@ -271,6 +271,33 @@ class TestRawLapackLu:
             assert smallest_singular(m) == 0.0
 
 
+class TestStartVector:
+    """The start vector is drawn once per (key, n) and shared read-only."""
+
+    def test_one_read_only_array_per_key_and_size(self):
+        v = linalg._start_vector(linalg._SMIN_KEY, 40)
+        assert linalg._start_vector(linalg._SMIN_KEY, 40) is v
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 0.0
+
+    @pytest.mark.parametrize("key", [linalg._SMIN_KEY, linalg._EIGVEC_KEY])
+    def test_bits_of_a_fresh_philox_draw(self, key):
+        rng = np.random.Generator(np.random.Philox(key=key))
+        w = rng.standard_normal(33) + 1j * rng.standard_normal(33)
+        w = w / np.linalg.norm(w)
+        assert np.array_equal(linalg._start_vector(key, 33), w)
+
+    def test_cold_and_warm_cache_agree(self):
+        n = 50
+        m = random_complex(np.random.default_rng(61), n)
+        lam = eigenvalues(m)[0]
+        linalg._start_vector.cache_clear()
+        cold = (eigenvector(m, lam), smallest_singular(m))
+        warm = (eigenvector(m, lam), smallest_singular(m))
+        assert np.array_equal(cold[0], warm[0]) and cold[1] == warm[1]
+
+
 _OPENBLAS_THREADS = textwrap.dedent(
     """
     import ctypes, glob, json
