@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -238,6 +240,117 @@ class TestScenarioSmoke:
         report = run(cfg)
         assert report.passed["nesting"]
         assert report.passed["normal_oracle"]
+
+
+EXP = PerturbationSpec("exp", r=0.5)
+GRID_9 = {"re_min": -2.0, "re_max": 2.0, "im_min": -2.0, "im_max": 2.0, "nx": 9, "ny": 9}
+
+
+def at_seed_3(scenario, **kw):
+    return make_config(scenario, seed=3, **kw)
+
+
+def circulant_map(**params):
+    params = {"matrix": "circulant", "oracle_tol": 0.0, "grid": GRID_9, **params}
+    return at_seed_3("pseudospec_map", n=8, trials=1, params=params)
+
+
+# (id, config, every verdict of its report): one config per criterion that can
+# read false, making it false, and one per conditional criterion whose gate is
+# shut, where it reads true however strict its param
+VERDICT_TABLE = [
+    ("energy_tol", at_seed_3("lsd_subexp", params={"energy_tol": 0.0}),
+     {"energy_distance": False, "curve_band": True}),
+    ("curve_band_mult", at_seed_3("lsd_subexp", params={"band_mult": 0.01}),
+     {"energy_distance": True, "curve_band": False}),
+    ("radius_band_mult",
+     at_seed_3("lsd_exp", pert=EXP, params={"check_radius": True, "band_mult": 0.01, "probe_count": 4}),
+     {"radius_band": False, "logpot_probes": True}),
+    ("radius_unchecked", at_seed_3("lsd_exp", pert=EXP, params={"band_mult": 0.01, "probe_count": 4}),
+     {"radius_band": True, "logpot_probes": True}),
+    ("exp_logpot_tol", at_seed_3("lsd_exp", pert=EXP, params={"logpot_tol": 0.0, "probe_count": 4}),
+     {"radius_band": True, "logpot_probes": False}),
+    ("exp_no_region", at_seed_3("lsd_exp", pert=EXP, params={"probe_count": 100000}),
+     {"radius_band": True, "logpot_probes": False}),
+    ("superexp_logpot_tol",
+     at_seed_3("lsd_superexp", symbol="-1:0.5;1:1", pert=PerturbationSpec("superexp", c=1.0),
+               params={"logpot_tol": 0.0, "probe_count": 4}),
+     {"logpot_probes": False}),
+    ("no_outlier_eps", at_seed_3("no_outlier", pert=PerturbationSpec("poly", gamma=0.5), params={"eps": 1e-9}),
+     {"no_outliers": False}),
+    ("cost_tol", at_seed_3("pairing", params={"cost_tol": 0.0}), {"match_cost": False}),
+    ("radius_law_gamma", at_seed_3("radius_law", pert=PerturbationSpec("poly", gamma=12), params={"eps": 1e-9}),
+     {"radius_bound": False}),
+    ("loc_mult", at_seed_3("eigvec_bulk", n=60, trials=1, params={"loc_mult": 0.01}), {"localization": False}),
+    ("no_qualifying_pair", at_seed_3("eigvec_bulk", n=60, trials=1, params={"c_band": 0.5}),
+     {"localization": False}),
+    ("linf_min", at_seed_3("eigvec_outlier", params={"linf_min": 0.999}), {"outlier_linf": False}),
+    ("no_outlier_found", at_seed_3("eigvec_outlier", params={"linf_min": 0.999, "disk_radius": 0.01}),
+     {"outlier_linf": True}),
+    ("gap_tol", at_seed_3("grushin", symbol="-1:1;1:1", n=30, params={"gap_tol": 0.0}), {"equiv_gap": False}),
+    ("oracle_tol", circulant_map(oracle=True), {"nesting": True, "normal_oracle": False}),
+    ("oracle_off", circulant_map(), {"nesting": True, "normal_oracle": True}),
+]
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("cfg,verdicts", [pytest.param(c, v, id=i) for i, c, v in VERDICT_TABLE])
+    def test_verdict_table(self, cfg, verdicts):
+        passed = run(cfg).passed
+        assert passed == verdicts
+        assert all(type(v) is bool for v in passed.values())
+
+    def test_rule_rows_name_scenario_params(self):
+        for name, sc in experiments._REGISTRY.items():
+            for rule in sc.criteria.values():
+                if isinstance(rule, tuple):
+                    metric, op, param = rule
+                    assert op in ("<=", ">="), (name, rule)
+                    assert param in sc.defaults, (name, rule)
+
+    def test_missing_metric_raises(self, monkeypatch):
+        # a runner that forgets a metric its rule reads must not read as passed
+        sc = experiments._REGISTRY["pairing"]
+        forgetful = dataclasses.replace(sc, runner=lambda ens, params, out_dir: ({"cost_max": 0.0}, []))
+        monkeypatch.setitem(experiments._REGISTRY, "pairing", forgetful)
+        with pytest.raises(KeyError, match="ok_frac"):
+            run(make_config("pairing", n=10, trials=1))
+
+
+def _hyperbolic_count(rho):
+    """Mean number of zeros in |z| <= rho of the hyperbolic analytic field of intensity 2."""
+    return 2 * rho**2 / (1 - rho**2)
+
+
+class TestOutlierCountLaw:
+    """Outliers of a noisy Jordan block follow the zeros of a random analytic field.
+
+    To first order in the coupling, det(J - z + delta G) is delta times
+    f(z) = sum_m sqrt(m+1) xi_m z^m with i.i.d. xi_m, whose zeros have density
+    2 / (pi (1 - |z|^2)^2) (Sjostrand & Vogel; Basak & Zeitouni, PTRF 2020).
+    The mean count in |z| <= rho = 1 - margin is 2 rho^2 / (1 - rho^2) for
+    every gamma, so the test checks the structure of the noise, not its scale:
+    without noise all 60 eigenvalues sit at 0, and with noise in the corner
+    entry alone they sit near |z| = delta^(1/n) ~ 0.87, outside both disks.
+
+    Tolerance: 4 standard errors of the 200-trial mean plus the finite-n
+    offset.  The per-trial standard deviation of the count and the offset
+    (mean minus law) were measured over 4000 trials at n = 60, poly:2, seed
+    1000: sd 0.91 and offset -0.019 +- 0.014 at margin 0.3, sd 0.64 and offset
+    -0.000 +- 0.010 at margin 0.5.  Seeds 1-10 at 200 trials read 1.865-1.990
+    and 0.595-0.730.
+    """
+
+    @pytest.mark.parametrize(
+        "margin,sd,offset", [(0.3, 0.91, -0.019), (0.5, 0.64, 0.0)], ids=["margin_0.3", "margin_0.5"]
+    )
+    def test_mean_count_follows_hyperbolic_law(self, margin, sd, offset):
+        trials = 200
+        report = run(make_config("outlier_count", n=60, trials=trials, params={"margin": margin}))
+        counts = report.metrics["mean_counts_by_winding"]
+        assert set(counts) <= {"-1"}  # inside the curve the winding is -1
+        law = _hyperbolic_count(1 - margin)
+        assert abs(counts.get("-1", 0.0) - (law + offset)) <= 4 * sd / math.sqrt(trials)
 
 
 class TestTrialEigenvalues:
