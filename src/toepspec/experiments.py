@@ -28,7 +28,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import eigloc, grushin, linalg, matrixgen, measures, pseudospec, svgplot
 from ._pool import map_chunks
@@ -307,7 +306,7 @@ def _probe_blocks(sym: LaurentSymbol, radii, pad: float, seed: int, total: int):
     return (rng.uniform(lo, hi, size=(b, 2)).view(complex).ravel() for b in sizes)
 
 
-def _near_curves(curves: np.ndarray, tree: cKDTree, zs: np.ndarray, margin: float) -> np.ndarray:
+def _near_curves(curves: np.ndarray, tree, zs: np.ndarray, margin: float) -> np.ndarray:
     """np.min(np.abs(curves - z)) < margin for each z of zs, exactly.
 
     The k-d tree over the curve samples decides every z whose nearest
@@ -330,6 +329,8 @@ def _probe_points_regions(
     Only regions that collect the full count are kept; almost-every-point
     statements are then tested on generic points of each fat region.
     """
+    from scipy.spatial import cKDTree  # imported here: only lsd_exp places probes
+
     radii = (1.0, r, 1.0 / r)
     blocks = _probe_blocks(sym, radii, 2 * margin + 0.3, seed, _REGION_MAX_DRAWS)
     curves = np.concatenate([curve_samples(sym, 720, rad) for rad in radii])

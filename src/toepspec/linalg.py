@@ -5,15 +5,17 @@ determinants met here span thousands of orders of magnitude, so they are
 never exponentiated internally.  Singular values follow the nondecreasing
 convention s_1 <= ... <= s_n.  The heavy factorizations delegate to
 LAPACK through numpy/scipy; the LU kernels call zgetrf/zgetrs directly,
-without scipy's per-call wrapper.  Up to SMIN_DIRECT_MAX_N the smallest
-singular value is the last one of a direct SVD; above it, a two-sided
-inverse iteration with LU reuse, falling back to a full SVD when it
-stagnates.  All kernels are reentrant and deterministic.
+without scipy's per-call wrapper.  LAPACK, and with it scipy.linalg, loads
+on the first LU, so a process that factors nothing never imports it.  Up to
+SMIN_DIRECT_MAX_N the smallest singular value is the last one of a direct
+SVD; above it, a two-sided inverse iteration with LU reuse, falling back to
+a full SVD when it stagnates.  All kernels are reentrant and deterministic.
 
 Importing this module runs both bundled OpenBLAS copies on one thread: at
 the sizes met here (n = 50-500) extra BLAS threads cost more than they
 give, and one thread makes every result independent of the core count and
 of OPENBLAS_NUM_THREADS.  Their idle pool threads stop, so forks are safe.
+scipy.linalg, loaded later, calls the same already pinned copy.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.linalg as sla
 
 from .errors import ConvergenceError, NonFiniteError, ShapeError
 
@@ -58,18 +59,23 @@ def _one_blas_thread() -> None:
 _one_blas_thread()
 
 
-_getrf, _getrs = sla.get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+@functools.cache
+def _lapack_lu():
+    """(zgetrf, zgetrs), loaded on the first call: scipy.linalg takes most of a bare import's time."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
 
 
 def _lu_factor(a):
     """(lu, piv) of a copy of the complex matrix a; an exactly singular factor is returned silently."""
-    lu, piv, _ = _getrf(a)
+    lu, piv, _ = _lapack_lu()[0](a)
     return lu, piv
 
 
 def _lu_solve(lu, piv, b, trans=0):
     """Solve with a factor from :func:`_lu_factor`: trans 0 solves a x = b, trans 2 a* x = b."""
-    return _getrs(lu, piv, b, trans=trans)[0]
+    return _lapack_lu()[1](lu, piv, b, trans=trans)[0]
 
 
 # Fixed Philox keys for the start vectors of the iterative kernels, each drawn once per (key, n).

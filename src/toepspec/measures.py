@@ -17,7 +17,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, EmptyDataError, NonFiniteError, ShapeError, SizeLimitError
 from .symbol import LaurentSymbol, curve_samples, evaluate, root_profile, root_profiles
@@ -110,6 +109,8 @@ def match_cost(points, targets, p: float = 2.0) -> float:
 
     Exact optimal assignment on the |.|^p cost matrix.
     """
+    from scipy.optimize import linear_sum_assignment  # imported here: most commands never assign
+
     pts = np.asarray(points, dtype=complex).ravel()
     tgt = np.asarray(targets, dtype=complex).ravel()
     if len(pts) != len(tgt):

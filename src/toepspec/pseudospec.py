@@ -8,13 +8,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from ._pool import map_chunks
 from .errors import ShapeError, SizeLimitError
-from .linalg import SMIN_DIRECT_MAX_N, _require_square, smallest_singular
+from .linalg import SMIN_DIRECT_MAX_N, _lapack_lu, _require_square, smallest_singular
 from .svgplot import write_contour
 
 MAX_GRID_NODES = 4_000_000
@@ -77,6 +78,8 @@ def smin_field(m: np.ndarray, grid: GridSpec) -> ScalarField:
     pinned to its own CPU, which unpinned workers may share.
     """
     m = _require_square(m)
+    if m.shape[0] > SMIN_DIRECT_MAX_N:
+        _lapack_lu()  # load LAPACK before any fork, or each worker imports scipy.linalg again
     zs = np.empty((grid.ny, grid.nx), dtype=complex)
     zs.real, zs.imag = grid.res()[None, :], grid.ims()[:, None]
     zs = zs.ravel()
@@ -199,6 +202,7 @@ def write_contour_svg(field: ScalarField, levels, path, title: str) -> None:
 
 def write_field_csv(field: ScalarField, path) -> None:
     """Rows `re,im,smin` in row-major node order."""
-    x, y = np.meshgrid(field.grid.res(), field.grid.ims())
-    rows = [f"{float(a)!r},{float(b)!r},{float(v)!r}" for a, b, v in zip(x.ravel(), y.ravel(), field.values)]
+    res = [repr(a) for a in field.grid.res().tolist()]
+    ims = [repr(b) for b in field.grid.ims().tolist()]
+    rows = [f"{a},{b},{v!r}" for (b, a), v in zip(product(ims, res), field.values.tolist())]
     Path(path).write_text("\n".join(["re,im,smin", *rows]) + "\n", encoding="utf-8")

@@ -335,6 +335,43 @@ class TestListCommand:
         assert len(names) == 12
 
 
+_SCIPY_SUBMODULES = """
+import json, sys
+from pathlib import Path
+from toepspec import cli
+
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.optimize", "scipy.spatial") if m in sys.modules]
+
+out, steps = Path(sys.argv[1]), {}
+assert cli.main(["list"]) == 0
+steps["list"] = loaded()
+for name, cfg in json.loads(sys.argv[2]).items():
+    (out / f"{name}.json").write_text(json.dumps(cfg))
+    assert cli.main(["run", str(out / f"{name}.json"), "--out-dir", str(out / name)]) == 0
+    steps[name] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_commands_import_only_the_scipy_submodules_they_use(tmp_path):
+    # each command starts in a fresh interpreter, where importing scipy.linalg
+    # alone takes longer than a small run
+    small = {"symbol": "-1:1;1:1", "n": 30, "pert": {"kind": "poly", "gamma": 1}, "noise": "rademacher", "seed": 3}
+    configs = {
+        "lsd_subexp": {**small, "scenario": "lsd_subexp", "trials": 2, "params": {}},
+        "grushin": {**small, "scenario": "grushin", "trials": 1, "params": {}},
+        "pairing": {**small, "scenario": "pairing", "trials": 1, "params": {}},
+    }
+    src = str(Path(toepspec.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-c", _SCIPY_SUBMODULES, str(tmp_path), json.dumps(configs)]
+    out = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    steps = json.loads(out.stdout.splitlines()[-1])
+    assert steps["list"] == [] and steps["lsd_subexp"] == []
+    assert steps["grushin"] == ["scipy.linalg"]
+    assert "scipy.optimize" in steps["pairing"]
+
+
 class TestRenderSvg:
     """The two SVG writers: eigenvalues over a curve, and level lines."""
 

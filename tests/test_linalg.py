@@ -300,11 +300,16 @@ class TestStartVector:
 
 _OPENBLAS_THREADS = textwrap.dedent(
     """
-    import ctypes, glob, json
+    import ctypes, glob, json, sys
     from pathlib import Path
 
     import toepspec.symbol
     import numpy, scipy
+
+    # LAPACK, and with it scipy.linalg, loads on the first LU: after the pin
+    assert "scipy.linalg" not in sys.modules
+    toepspec.linalg.lu_logdet(numpy.eye(3))
+    assert "scipy.linalg" in sys.modules
 
     def threads(package, libdir, pattern, symbol):
         base = Path(package.__file__).resolve().parent.parent / libdir

@@ -1,4 +1,9 @@
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -112,6 +117,29 @@ class TestSminField:
         assert np.all(field.values[inside] < 2 * r**n)
 
 
+_POOLED_FIELD = """
+import sys
+import numpy as np
+from toepspec import _pool, pseudospec
+
+grid = pseudospec.GridSpec(-1, 1, -1, 1, 31, 31)
+assert grid.nx * grid.ny * 30**3 >= _pool._POOL_MIN_WORK  # the field is split over workers
+assert "scipy.linalg" not in sys.modules
+pseudospec.smin_field(np.diag(np.ones(29), 1), grid)
+print("scipy.linalg" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: smin_field never forks")
+def test_pooled_field_loads_lapack_before_the_fork():
+    # loaded in the parent, LAPACK is inherited by every worker; otherwise
+    # each worker of each pooled field imports scipy.linalg again
+    src = str(Path(pseudospec.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-c", _POOLED_FIELD]
+    out = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True"]
+
+
 class TestContours:
     def test_circle_level_set(self):
         g = GridSpec(-1, 1, -1, 1, 81, 81)
@@ -171,6 +199,19 @@ class TestFieldCsv:
         assert lines[0] == "re,im,smin"
         assert len(lines) == 7
         assert lines[1].split(",")[2] == "0.0"
+
+    def test_bytes_match_per_node_reprs(self, tmp_path):
+        # negative, zero and exponent-form coordinates and values
+        g = GridSpec(-2.5e-5, 2.5e-5, -1.5, 1e17, 3, 4)
+        values = np.array([0.0, 5e-324, 1e-300, 0.1, 2.0 / 3.0, 1.5e22, 7.0, 1e16, 3e-7, 12.5, 0.25, 1e300])
+        field = ScalarField(grid=g, values=values)
+        path = tmp_path / "f.csv"
+        write_field_csv(field, path)
+        x, y = np.meshgrid(g.res(), g.ims())
+        rows = [f"{float(re)!r},{float(im)!r},{float(v)!r}" for re, im, v in zip(x.ravel(), y.ravel(), values)]
+        expected = "\n".join(["re,im,smin", *rows]) + "\n"
+        assert "0.0," in expected and "-2.5e-05," in expected and ",1e+17," in expected
+        assert path.read_bytes() == expected.encode()
 
 
 class TestFieldCsvRoundtrip:
