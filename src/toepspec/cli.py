@@ -3,8 +3,8 @@
 Subcommands: ``spectrum`` (eigenvalues of one realization), ``pseudospectrum``
 (smallest-singular-value field plus contour lines), ``run`` (experiment config
 file), ``list`` (scenario registry).  Exit codes: 0 success, 1 configuration
-error (size caps and sizes that run out of memory included), 2 numerical
-failure or a worker process that died.
+error (size caps, sizes that run out of memory and output paths that cannot
+be written included), 2 numerical failure or a worker process that died.
 """
 
 from __future__ import annotations
@@ -181,6 +181,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:  # a size too large for this machine
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output path that cannot be written; a config that cannot be read is a ConfigError
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except WorkerDiedError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,9 +5,9 @@ noise is drawn from :func:`matrixgen.task_seed` (seed, t), so reports are
 byte-identical for identical configs.  :func:`run` parses and checks the
 config, writes the artifacts, and decides every verdict from the pass rules
 declared with the scenario; a runner is only a reduction over the trials to
-metrics.  A large ensemble's eigensolves are split
-over forked workers, one pinned to each CPU (see :class:`TrialEnsemble`);
-eigenvectors, early-stopping loops and Grushin gaps run in this process.
+metrics.  Trials run through :meth:`TrialEnsemble.map`, which splits a large
+ensemble over forked workers, one pinned to each CPU.  Two loops stay in this
+process: ``eigvec_outlier``'s, which stops early, and the Grushin gaps'.
 
 Eigenvector direction convention.  For an eigenvalue lambda with winding
 number d(lambda) of the symbol curve, the localized mass sits at the FRONT
@@ -24,7 +24,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -228,59 +228,49 @@ def trial_eigenvalues(
     unscaled solve.  No such rule is settled for two-sided bands, which keep
     the unscaled solve and resolve r^n only while n log10(1/r) <~ 13.
     """
-    scale = _solve_scale(sym, pert)
-    return linalg.eigenvalues(matrixgen.perturbed(sym, n, pert, noise, seed, scale=scale))
+    return linalg.eigenvalues(matrixgen.perturbed(sym, n, pert, noise, seed, scale=_solve_scale(sym, pert)))
 
 
-def _solve_trials(sym: LaurentSymbol, n: int, pert: PerturbationSpec, noise: NoiseSpec, seeds) -> list:
-    return [trial_eigenvalues(sym, n, pert, noise, seed) for seed in seeds]
+def _trials(fn, ens: "TrialEnsemble", ts) -> list:
+    return [fn(ens, t) for t in ts]
+
+
+def _solve(ens: "TrialEnsemble", t: int) -> np.ndarray:
+    return linalg.eigenvalues(ens.matrix(t))
 
 
 class TrialEnsemble:
-    """The trials of one config: seeds, matrices built on demand, eigenvalues solved once.
+    """The trials of one config, each a pure function of (config, t): nothing per trial is kept.
 
-    Trial t's matrix is the one :func:`trial_eigenvalues` solves: D^-1 M D
-    where a one-sided band meets r^n noise, M itself otherwise.  Matrices are
-    built only when asked for, so a scenario that stops early with
-    :meth:`eigs` skips the remaining trials.  :attr:`eigenvalues` splits the
-    unsolved trials of a large ensemble over forked workers (fork starts one
-    in ms), each pinned to its own CPU, which unpinned workers may share.
+    Trial t's matrix is the one :func:`trial_eigenvalues` solves at seed task_seed(seed, t).
+    :meth:`map` runs a per-trial function over all trials, a large ensemble split over forked
+    workers (see :func:`_pool.map_chunks`); :attr:`eigenvalues` is that map of the eigensolve.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.sym = parse_symbol(cfg.symbol)
-        self.seeds = [task_seed(cfg.seed, t) for t in range(cfg.trials)]
         self.rho = _solve_scale(self.sym, cfg.pert)
-        self._eigs: dict[int, np.ndarray] = {}
-        self._last: tuple = (None, None)  # the most recent (trial, matrix)
 
     def matrix(self, t: int) -> np.ndarray:
-        if self._last[0] != t:
-            cfg = self.cfg
-            m = matrixgen.perturbed(self.sym, cfg.n, cfg.pert, cfg.noise, self.seeds[t], scale=self.rho)
-            self._last = (t, m)
-        return self._last[1]
+        cfg = self.cfg
+        return matrixgen.perturbed(self.sym, cfg.n, cfg.pert, cfg.noise, task_seed(cfg.seed, t), scale=self.rho)
 
-    def eigs(self, t: int) -> np.ndarray:
-        if t not in self._eigs:
-            self._eigs[t] = linalg.eigenvalues(self.matrix(t))
-        return self._eigs[t]
+    def map(self, fn) -> list:
+        """[fn(self, t) for every trial t], in trial order; fn must pickle (a module-level function or its partial)."""
+        return map_chunks(partial(_trials, fn, self), range(self.cfg.trials), self.cfg.n)
 
-    @property
+    @cached_property
     def eigenvalues(self) -> list[np.ndarray]:
-        cfg, todo = self.cfg, [t for t in range(self.cfg.trials) if t not in self._eigs]
-        solve = partial(_solve_trials, self.sym, cfg.n, cfg.pert, cfg.noise)
-        self._eigs.update(zip(todo, map_chunks(solve, [self.seeds[t] for t in todo], cfg.n)))
-        return [self._eigs[t] for t in range(cfg.trials)]
+        return self.map(_solve)
 
-    def eigenvector(self, t: int, lam: complex) -> np.ndarray:
-        """Unit eigenvector of trial t's unscaled matrix M for the eigenvalue lam.
+    def eigenvector(self, m: np.ndarray, lam: complex) -> np.ndarray:
+        """Unit eigenvector, for the eigenvalue lam, of the unscaled matrix M behind the trial matrix m.
 
-        An eigenvector w of D^-1 M D maps back as v = D w.  D is formed as
-        exp(i log rho - max) so that no entry overflows, then v is normalized.
+        An eigenvector w of m = D^-1 M D maps back as v = D w.  D is formed
+        as exp(i log rho - max) so that no entry overflows, then v is normalized.
         """
-        w = linalg.eigenvector(self.matrix(t), lam)
+        w = linalg.eigenvector(m, lam)
         if self.rho is None:
             return w
         log_d = np.arange(len(w)) * math.log(self.rho)
@@ -394,7 +384,7 @@ def _logpot_devs(eig_trials, zs, sym: LaurentSymbol, r: float) -> list[float]:
 
 def _write_eigs_artifacts(ens: TrialEnsemble, out_dir: Path) -> list[str]:
     cfg = ens.cfg
-    eigs = ens.eigs(0)
+    eigs = ens.eigenvalues[0]
     # the stored seed is the realization's own seed, so the sample can be
     # regenerated bit-exactly from the sidecar alone (via trial_eigenvalues)
     meta = {
@@ -402,7 +392,7 @@ def _write_eigs_artifacts(ens: TrialEnsemble, out_dir: Path) -> list[str]:
         "n": cfg.n,
         "pert": cfg.pert.to_dict(),
         "noise": cfg.noise.kind,
-        "seed": ens.seeds[0],
+        "seed": task_seed(cfg.seed, 0),
         "master_seed": cfg.seed,
         "trial": 0,
     }
@@ -647,36 +637,34 @@ def _run_radius_law(ens: TrialEnsemble, params: dict, out_dir):
     }, []
 
 
-def _localization_rows(ens: TrialEnsemble, band_lo, band_hi, mu1):
-    """One row per near-curve eigenpair of every trial, eigenvalues in lexicographic order."""
+def _localization_rows(band_lo, band_hi, mu1, ens: TrialEnsemble, t: int) -> list:
+    """One row per near-curve eigenpair of trial t, eigenvalues in lexicographic order."""
+    m = ens.matrix(t)
+    eigs = linalg.eigenvalues(m)
+    dists = measures.dist_to_curve(eigs, ens.sym)
+    in_band = [i for i in np.lexsort((eigs.imag, eigs.real)) if band_lo <= dists[i] <= band_hi]
     rows = []
-    for t in range(ens.cfg.trials):
-        eigs = ens.eigs(t)
-        dists = measures.dist_to_curve(eigs, ens.sym)
-        in_band = [i for i in np.lexsort((eigs.imag, eigs.real)) if band_lo <= dists[i] <= band_hi]
-        for idx, w in zip(in_band, _windings(ens.sym, eigs[in_band])):
-            if not w:  # on the curve (None) or winding 0
-                continue
-            lam = complex(eigs[idx])
-            d_curve = float(dists[idx])
-            try:
-                v = ens.eigenvector(t, lam)
-            except ConvergenceError:
-                continue
-            direction = "forward" if w < 0 else "reverse"
-            profile = eigloc.tail_norm_profile(v, direction)
-            below = np.nonzero(profile <= 0.5)[0]
-            tail_halflen = int(below[0]) + 1 if len(below) else len(v)
-            rows.append(
-                (
-                    lam,
-                    d_curve,
-                    w,
-                    float(np.max(np.abs(v))),
-                    eigloc.supp_size(v, mu1),
-                    tail_halflen,
-                )
+    for idx, w in zip(in_band, _windings(ens.sym, eigs[in_band])):
+        if not w:  # on the curve (None) or winding 0
+            continue
+        lam = complex(eigs[idx])
+        try:
+            v = ens.eigenvector(m, lam)
+        except ConvergenceError:
+            continue
+        profile = eigloc.tail_norm_profile(v, "forward" if w < 0 else "reverse")
+        below = np.nonzero(profile <= 0.5)[0]
+        tail_halflen = int(below[0]) + 1 if len(below) else len(v)
+        rows.append(
+            (
+                lam,
+                float(dists[idx]),
+                w,
+                float(np.max(np.abs(v))),
+                eigloc.supp_size(v, mu1),
+                tail_halflen,
             )
+        )
     return rows
 
 
@@ -704,7 +692,9 @@ def _run_eigvec_bulk(ens: TrialEnsemble, params: dict, out_dir):
     band_hi = params["c_band"] * math.log(n) / n
     band_lo = math.log(n) / (params["c_band"] * n)
     loc_len = params["loc_mult"] * n / math.log(n)
-    all_rows = _localization_rows(ens, band_lo, band_hi, params["supp_mu1"])
+    linalg.lapack_lu()  # load LAPACK before any fork, or each worker imports scipy.linalg again
+    per_trial = ens.map(partial(_localization_rows, band_lo, band_hi, params["supp_mu1"]))
+    all_rows = [row for rows in per_trial for row in rows]
     if not all_rows:
         return {"qualifying": 0}, []
     supps = np.array([r[4] for r in all_rows], dtype=float)
@@ -730,6 +720,26 @@ def _outlier_linf(metrics: dict, params: dict) -> bool:
     return metrics["linf_min"] is None or metrics["linf_min"] >= params["linf_min"]
 
 
+def _outlier_observations(disk_radius, ens: TrialEnsemble, t: int) -> list:
+    """One observation per eigenpair of trial t within disk_radius, eigenvalues in lexicographic order."""
+    m = ens.matrix(t)
+    inside = [complex(l) for l in linalg.eigenvalues(m) if abs(l) <= disk_radius]
+    found = []
+    for lam in sorted(inside, key=lambda c: (c.real, c.imag)):
+        try:
+            v = ens.eigenvector(m, lam)
+        except ConvergenceError:
+            continue
+        found.append(
+            {
+                "lambda": [lam.real, lam.imag],
+                "linf": float(np.max(np.abs(v))),
+                "pure_state_dist": eigloc.phase_aligned_distance(v, eigloc.pure_state(lam, len(v))),
+            }
+        )
+    return found
+
+
 @_scenario(
     "eigvec_outlier",
     "eigenvectors of deep-interior eigenvalues are completely localized",
@@ -740,19 +750,7 @@ def _outlier_linf(metrics: dict, params: dict) -> bool:
 def _run_eigvec_outlier(ens: TrialEnsemble, params: dict, out_dir):
     found = []
     for t in range(ens.cfg.trials):
-        inside = [complex(l) for l in ens.eigs(t) if abs(l) <= params["disk_radius"]]
-        for lam in sorted(inside, key=lambda c: (c.real, c.imag)):
-            try:
-                v = ens.eigenvector(t, lam)
-            except ConvergenceError:
-                continue
-            found.append(
-                {
-                    "lambda": [lam.real, lam.imag],
-                    "linf": float(np.max(np.abs(v))),
-                    "pure_state_dist": eigloc.phase_aligned_distance(v, eigloc.pure_state(lam, len(v))),
-                }
-            )
+        found += _outlier_observations(params["disk_radius"], ens, t)
         if found and len(found) >= params["stop_after_found"]:
             break
     return {
@@ -777,9 +775,10 @@ def _run_grushin(ens: TrialEnsemble, params: dict, out_dir):
     delta = cfg.pert.coupling(cfg.n)
     a = matrixgen.toeplitz(ens.sym, cfg.n) - z * np.eye(cfg.n)
     sv = linalg.svd(a).singular_values
+    # not ens.map: a gap draws noise only, which _pool would price as an eigensolve and pool at a loss
     gaps = [
-        grushin.equivalence_gap(a, sv, matrixgen.sample_noise(cfg.noise, cfg.n, s), delta, alpha)
-        for s in ens.seeds
+        grushin.equivalence_gap(a, sv, matrixgen.sample_noise(cfg.noise, cfg.n, task_seed(cfg.seed, t)), delta, alpha)
+        for t in range(cfg.trials)
     ]
     return {
         "gaps_max": max(gaps),
@@ -815,7 +814,7 @@ def _run_pseudospec_map(ens: TrialEnsemble, params: dict, out_dir):
     cfg = ens.cfg
     grid = pseudospec.GridSpec(**params["grid"])
     kind = params["matrix"]
-    m = matrixgen.build_matrix(kind, ens.sym, cfg.n, cfg.pert, cfg.noise, ens.seeds[0])
+    m = matrixgen.build_matrix(kind, ens.sym, cfg.n, cfg.pert, cfg.noise, task_seed(cfg.seed, 0))
     field = pseudospec.smin_field(m, grid)
     levels = sorted(float(l) for l in params["levels"])
     metrics = {

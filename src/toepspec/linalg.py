@@ -60,8 +60,11 @@ _one_blas_thread()
 
 
 @functools.cache
-def _lapack_lu():
-    """(zgetrf, zgetrs), loaded on the first call: scipy.linalg takes most of a bare import's time."""
+def lapack_lu():
+    """(zgetrf, zgetrs), loaded on the first call: scipy.linalg takes most of a bare import's time.
+
+    Called before a fork, it hands the loaded library to every worker, which would otherwise import it again.
+    """
     from scipy.linalg import get_lapack_funcs
 
     return get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
@@ -69,13 +72,13 @@ def _lapack_lu():
 
 def _lu_factor(a):
     """(lu, piv) of a copy of the complex matrix a; an exactly singular factor is returned silently."""
-    lu, piv, _ = _lapack_lu()[0](a)
+    lu, piv, _ = lapack_lu()[0](a)
     return lu, piv
 
 
 def _lu_solve(lu, piv, b, trans=0):
     """Solve with a factor from :func:`_lu_factor`: trans 0 solves a x = b, trans 2 a* x = b."""
-    return _lapack_lu()[1](lu, piv, b, trans=trans)[0]
+    return lapack_lu()[1](lu, piv, b, trans=trans)[0]
 
 
 # Fixed Philox keys for the start vectors of the iterative kernels, each drawn once per (key, n).

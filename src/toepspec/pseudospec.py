@@ -15,7 +15,7 @@ import numpy as np
 
 from ._pool import map_chunks
 from .errors import ShapeError, SizeLimitError
-from .linalg import SMIN_DIRECT_MAX_N, _lapack_lu, _require_square, smallest_singular
+from .linalg import SMIN_DIRECT_MAX_N, _require_square, lapack_lu, smallest_singular
 from .svgplot import write_contour
 
 MAX_GRID_NODES = 4_000_000
@@ -79,7 +79,7 @@ def smin_field(m: np.ndarray, grid: GridSpec) -> ScalarField:
     """
     m = _require_square(m)
     if m.shape[0] > SMIN_DIRECT_MAX_N:
-        _lapack_lu()  # load LAPACK before any fork, or each worker imports scipy.linalg again
+        lapack_lu()  # load LAPACK before any fork, or each worker imports scipy.linalg again
     zs = np.empty((grid.ny, grid.nx), dtype=complex)
     zs.real, zs.imag = grid.res()[None, :], grid.ims()[:, None]
     zs = zs.ravel()

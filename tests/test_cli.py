@@ -328,6 +328,25 @@ def test_malformed_flag_ends_in_one_line(tmp_path, monkeypatch, capsys, argv, ne
     assert not (tmp_path / "x.svg").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["run", "config.json", "--out-dir", "config.json"], "config.json"),
+        ([*_SPECTRUM, "--out", "missing/x.csv"], "missing/x.csv"),
+        ([*_SPECTRUM, "--plot", "missing/x.svg"], "missing/x.svg"),
+        ([*_PSEUDO, "--out", "missing/x.csv"], "missing/x.csv"),
+        ([*_PSEUDO, "--plot", "missing/x.svg"], "missing/x.svg"),
+    ],
+    ids=["run_out_dir_is_a_file", "spectrum_out", "spectrum_plot", "pseudospectrum_out", "pseudospectrum_plot"],
+)
+def test_unwritable_output_ends_in_one_line(tmp_path, monkeypatch, capsys, argv, path):
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(_TWO_SIDED))
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and path in err[0]
+
+
 class TestListCommand:
     def test_lists_twelve(self, capsys):
         assert main(["list"]) == 0

@@ -431,10 +431,11 @@ class TestEigenvectorScenariosScaled:
         cfg = make_config("eigvec_outlier", symbol=symbol, n=30, pert=PerturbationSpec("exp", r=0.5), trials=1)
         ens = TrialEnsemble(cfg)
         assert ens.rho is not None
-        plain = perturbed(ens.sym, cfg.n, cfg.pert, cfg.noise, ens.seeds[0])
+        m = ens.matrix(0)
+        plain = perturbed(ens.sym, cfg.n, cfg.pert, cfg.noise, task_seed(cfg.seed, 0))
         worst = max(
-            phase_aligned_distance(ens.eigenvector(0, lam), eigenvector(plain, lam))
-            for lam in ens.eigs(0)
+            phase_aligned_distance(ens.eigenvector(m, lam), eigenvector(plain, lam))
+            for lam in ens.eigenvalues[0]
         )
         assert worst <= 1e-6
 
@@ -448,6 +449,26 @@ class TestEigenvectorScenariosScaled:
         # resolved near radius r = 0.5; the unscaled solve returns a
         # rounding-noise ring at |lambda| ~ 0.63 here
         assert np.max(np.abs(observed)) <= 0.55
+
+
+class TestSeedsOnDemand:
+    """Trial t's seed is derived when trial t runs, never for the whole ensemble up front."""
+
+    @pytest.fixture
+    def seeded(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(experiments, "task_seed", lambda seed, t: asked.append(t) or task_seed(seed, t))
+        return asked
+
+    def test_pseudospec_map_derives_one_seed(self, seeded):
+        grid = {"re_min": -1, "re_max": 1, "im_min": -1, "im_max": 1, "nx": 5, "ny": 5}
+        run(make_config("pseudospec_map", n=8, trials=10**12, params={"grid": grid}))
+        assert seeded == [0]
+
+    def test_eigvec_outlier_derives_the_seeds_of_the_trials_it_runs(self, seeded):
+        report = run(make_config("eigvec_outlier", trials=10**12, params={"stop_after_found": 20}))
+        assert report.metrics["trials_run"] > 1
+        assert seeded == list(range(report.metrics["trials_run"]))
 
 
 class TestProbePlacement:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,10 @@ CONFIGS = {
     "no_outlier": _cfg("no_outlier"),
     "pairing": _cfg("pairing", n=64, pert={"kind": "poly", "gamma": 1}),
     "radius_law": _cfg("radius_law", n=60),
+    # per-trial eigenvectors, over 100 qualifying rows each; under r^n noise they
+    # map back from the scaled solve (at r = 0.5 no eigenvalue lies in the band)
+    "eigvec_bulk": _cfg("eigvec_bulk"),
+    "eigvec_bulk_exp": _cfg("eigvec_bulk", pert={"kind": "exp", "r": 0.8}),
     # n <= 24: stacked SVDs; n > 24: one smallest_singular per node
     "pseudospec_stacked": _cfg("pseudospec_map", n=16, trials=1, grid={**GRID, "nx": 41, "ny": 41}),
     "pseudospec_per_node": _cfg("pseudospec_map", n=30, trials=1, grid={**GRID, "nx": 9, "ny": 7}),
@@ -98,6 +104,28 @@ def test_pooled_run_writes_the_serial_bytes(name, forks, tmp_path, monkeypatch):
     assert len(forks) >= 2
     assert "report.json" in outs["pooled"]
     assert outs["pooled"] == outs["serial"]
+
+
+_POOLED_BULK = """
+import json, sys
+from toepspec import _pool
+from toepspec.experiments import ExperimentConfig, run
+
+cfg = ExperimentConfig.from_dict(json.loads(sys.argv[1]))
+assert cfg.trials * cfg.n**3 >= _pool._POOL_MIN_WORK  # the trials are split over workers
+assert "scipy.linalg" not in sys.modules
+assert run(cfg).metrics["qualifying"] > 0  # the workers ran inverse iterations
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_pooled_eigvec_bulk_loads_lapack_before_the_fork():
+    # loaded in the parent, LAPACK is inherited by every worker; otherwise
+    # each worker's first inverse iteration imports scipy.linalg again
+    src = str(Path(_pool.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-c", _POOLED_BULK, json.dumps(_cfg("eigvec_bulk", n=100, trials=20))]
+    out = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True"]
 
 
 def _argv(where: str, tmp_path) -> list[str]:

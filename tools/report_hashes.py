@@ -106,6 +106,8 @@ def configs() -> dict:
         # eigenvector scenarios under r^n noise on a one-sided symbol (scaled solve)
         "eigvec_outlier_exp": _cfg("eigvec_outlier", n=100, pert=EXP, trials=2, stop_after_found=3),
         "eigvec_bulk_exp": _cfg("eigvec_bulk", n=100, pert=EXP, trials=1),
+        # work 20 * 100^3 = 2e7, the pool threshold: on two or more CPUs the trials run in forked workers
+        "eigvec_bulk_pooled": _cfg("eigvec_bulk", n=100, trials=20),
     }
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
