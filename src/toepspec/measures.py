@@ -19,13 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, EmptyDataError, NonFiniteError, ShapeError, SizeLimitError
-from .symbol import LaurentSymbol, curve_samples, evaluate, root_profile, root_profiles
+from .symbol import LaurentSymbol, companion_roots, evaluate, root_profile, root_profiles
 # unused here, but bench/test_bench.py pins this binding until ROADMAP item 1 lands
 from .symbol import classify_region  # noqa: F401
 
 MATCH_MAX_POINTS = 1024
-# angles at which dist_to_curve samples the symbol curve before refining
-CURVE_SAMPLES = 1024
 
 
 def empirical_logpot(points, z):
@@ -131,51 +129,39 @@ def match_cost(points, targets, p: float = 2.0) -> float:
 
 
 def dist_to_curve(points, symbol: LaurentSymbol) -> np.ndarray:
-    """Distance of each point to the symbol curve a(S^1).
+    """Distance of each point z to the symbol curve a(S^1); inf at a non-finite point.
 
-    The distance is sampled at CURVE_SAMPLES angles.  Every sampled local
-    minimum that could still hide the global one (the distance moves at most
-    sum |k a_k| per radian) is refined by golden section over its bracketing
-    arc, and the least value is kept.  All points and candidates run at once.
+    On |zeta| = 1 the angular derivative of |a(zeta) - z|^2 vanishes at the
+    roots of the Laurent polynomial P_z = F - conj(z) A + z B, where
+    F = sum_{j,k} (k - j) conj(a_j) a_k zeta^{k-j}, A = sum_k k a_k zeta^k and
+    B = sum_j j conj(a_j) zeta^{-j}.  The distance is the least |a(zeta) - z|
+    over the roots of P_z (from :func:`companion_roots`) projected onto the
+    circle by their angle, and over zeta = 1, the one candidate where P_z = 0
+    identically (at the centre of a circular curve).  Each row is scaled by
+    powers of two, so that no product overflows, and loses the coefficients
+    at its rounding level: no root near the circle depends on them.
     """
     pts = np.asarray(points, dtype=complex).ravel()
-    if len(pts) == 0:
-        return np.zeros(0)
-    samples = curve_samples(symbol, CURVE_SAMPLES)
-    thetas = 2 * np.pi * np.arange(CURVE_SAMPLES) / CURVE_SAMPLES
-    h = 2 * np.pi / CURVE_SAMPLES
-    slack = h * sum(abs(k * c) for k, c in symbol.coeffs.items())
-    # the coarse search in blocks of points: no (points x samples) array above 4 MB
-    block = (1 << 18) // CURVE_SAMPLES
-    found = []
-    for s in range(0, len(pts), block):
-        d = np.abs(samples[None, :] - pts[s : s + block, None])
-        local_min = (d <= np.roll(d, 1, axis=1)) & (d <= np.roll(d, -1, axis=1))
-        rows, ks = np.nonzero(local_min & (d <= d.min(axis=1, keepdims=True) + slack))
-        found.append((s + rows, ks, d[rows, ks]))
-    owner, k, coarse = (np.concatenate(parts) for parts in zip(*found))
-    p = pts[owner]
-
-    def f(theta):
-        return np.abs(evaluate(symbol, np.cos(theta) + 1j * np.sin(theta)) - p)
-
-    gr = (math.sqrt(5) - 1) / 2
-    a, b = thetas[k] - h, thetas[k] + h
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(60):
-        # keep [a, d] where f(c) < f(d), else [c, b]; the kept inner point is reused
-        left = fc < fd
-        kept, fkept = np.where(left, c, d), np.where(left, fc, fd)
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        new = np.where(left, b - gr * (b - a), a + gr * (b - a))
-        fnew = f(new)
-        c, fc = np.where(left, new, kept), np.where(left, fnew, fkept)
-        d, fd = np.where(left, kept, new), np.where(left, fkept, fnew)
-    out = np.full(len(pts), np.inf)
-    np.minimum.at(out, owner, np.minimum(np.minimum(fc, fd), coarse))
-    return out
+    fin = np.isfinite(pts)
+    z = np.where(fin, pts, 0)
+    ks, cs = np.array(list(symbol.coeffs)), np.array(list(symbol.coeffs.values()))
+    t = np.ldexp(0.5, np.frexp(np.abs(cs).max())[1])
+    cs = cs / t
+    d = max(symbol.kmax - symbol.kmin, -symbol.kmin, symbol.kmax)  # P_z runs from zeta^-d to zeta^d
+    f, a, b = np.zeros((3, 2 * d + 1), dtype=complex)
+    np.add.at(f, ks[None, :] - ks[:, None] + d, (ks[None, :] - ks[:, None]) * cs.conj()[:, None] * cs[None, :])
+    a[ks + d] = ks * cs
+    b[d - ks] = ks * cs.conj()
+    s = np.ldexp(0.5, np.frexp(np.maximum(np.maximum(abs(z.real), abs(z.imag)), t))[1])
+    zs = (z / s)[:, None]
+    rows = (t / s)[:, None] * f - zs.conj() * a + zs * b
+    rows[np.abs(rows) <= np.finfo(float).eps * np.abs(rows).max(axis=1, keepdims=True)] = 0
+    with np.errstate(over="ignore"):  # a curve point past the float range is infinitely far
+        best = np.abs(evaluate(symbol, np.ones(len(z))) - z)
+        for idx, roots in companion_roots(rows):
+            cand = np.abs(evaluate(symbol, np.exp(1j * np.angle(roots))) - z[idx, None])
+            best[idx] = np.minimum(best[idx], cand.min(axis=1, initial=np.inf))
+    return np.where(fin, best, np.inf)
 
 
 def write_sample_csv(points, meta: dict, path) -> None:

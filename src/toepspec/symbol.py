@@ -181,13 +181,39 @@ class RootProfile:
         return [math.inf] * self.infinite + [abs(r) for r in self.roots]
 
 
+def companion_roots(coeffs):
+    """Roots of each row's polynomial sum_i coeffs[row, i] zeta^i, by stacked companion eigensolves.
+
+    Yields ``(rows, roots)`` per group of rows that share their top nonzero
+    degree, which is the column count of ``roots``, and their count of zero
+    low-order coefficients (roots at 0).  All-zero rows yield nothing.
+    """
+    nonzero = coeffs != 0
+    top = coeffs.shape[1] - 1
+    degs = top - nonzero[:, ::-1].argmax(axis=1)
+    groups = np.where(nonzero.any(axis=1), degs * (top + 1) + nonzero.argmax(axis=1), -1)
+    for group in set(groups.tolist()) - {-1}:
+        deg, nzero = divmod(group, top + 1)
+        rows = np.flatnonzero(groups == group)
+        m = deg - nzero
+        roots = np.zeros((len(rows), deg), dtype=complex)
+        if m > 0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                body = coeffs[rows, nzero : deg + 1] / coeffs[rows, deg : deg + 1]
+            if not np.isfinite(body).all():
+                raise NonFiniteError("the monic normalization of a polynomial overflows")
+            comp = np.zeros((len(rows), m, m), dtype=complex)
+            comp[:, 1:, :-1] = np.eye(m - 1)
+            comp[:, :, -1] = -body[:, :-1]
+            roots[:, nzero:] = np.linalg.eigvals(comp)
+        yield rows, roots
+
+
 def root_profiles(symbol: LaurentSymbol, zs) -> list[RootProfile]:
     """Root data of zeta^{n_minus_eff} (a(zeta) - z) at every z of zs, with the roots-at-infinity convention.
 
-    The rows are grouped by their effective degree deg (top zero coefficients
-    of q_z become roots at infinity) and their count of zero low-order
-    coefficients (each a root at 0); the roots of a group come from one
-    stacked eigensolve of the companion matrices of the monic normalization.
+    The roots come from :func:`companion_roots`, one stacked eigensolve per
+    group of points; top zero coefficients of q_z become roots at infinity.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
     nm, target = symbol.nminus_eff, symbol.band
@@ -196,27 +222,11 @@ def root_profiles(symbol: LaurentSymbol, zs) -> list[RootProfile]:
         base[k + nm] += c
     coeffs = base[None, :].repeat(len(zs), axis=0)
     coeffs[:, nm] -= zs
-    nonzero = coeffs != 0
-    if not nonzero.any(axis=1).all():
+    if not (coeffs != 0).any(axis=1).all():
         raise DegenerateInputError("shifted symbol polynomial is identically zero")
-    degs = target - nonzero[:, ::-1].argmax(axis=1)
-    nzeros = nonzero.argmax(axis=1)
-    groups = degs * (target + 1) + nzeros
     out: list[RootProfile | None] = [None] * len(zs)
-    for group in set(groups.tolist()):
-        deg, nzero = divmod(group, target + 1)
-        rows = np.flatnonzero(groups == group)
-        m = deg - nzero
-        roots = np.zeros((len(rows), deg), dtype=complex)
-        if m > 0:
-            with np.errstate(over="ignore", invalid="ignore"):
-                body = coeffs[rows, nzero : deg + 1] / coeffs[rows, deg : deg + 1]
-            if not np.isfinite(body).all():
-                raise NonFiniteError("the monic normalization of the shifted symbol polynomial overflows")
-            comp = np.zeros((len(rows), m, m), dtype=complex)
-            comp[:, 1:, :-1] = np.eye(m - 1)
-            comp[:, :, -1] = -body[:, :-1]
-            roots[:, nzero:] = np.linalg.eigvals(comp)
+    for rows, roots in companion_roots(coeffs):
+        deg = roots.shape[1]
         # deterministic nonincreasing-modulus order, angle as tie break
         order = np.lexsort((np.angle(roots), -np.abs(roots)), axis=-1)
         roots = roots[np.arange(len(rows))[:, None], order]

@@ -352,6 +352,12 @@ class TestOutlierCountLaw:
         law = _hyperbolic_count(1 - margin)
         assert abs(counts.get("-1", 0.0) - (law + offset)) <= 4 * sd / math.sqrt(trials)
 
+    def test_unperturbed_block_counts_every_eigenvalue(self):
+        # all 60 eigenvalues sit at 0, the centre of the curve, where every
+        # angle is a nearest point
+        report = run(make_config("outlier_count", n=60, trials=10, pert=PerturbationSpec("none")))
+        assert report.metrics["mean_counts_by_winding"] == {"-1": 60.0}
+
 
 class TestTrialEigenvalues:
     @pytest.mark.parametrize("symbol", ["-1:1", "1:1"])

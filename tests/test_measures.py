@@ -342,13 +342,63 @@ class TestDistToCurve:
 
     def test_point_on_curve(self):
         d = dist_to_curve([np.exp(0.3j)], JORDAN)[0]
-        assert d <= 2 * np.pi / 1024
+        assert d <= 1e-12
 
     def test_point_on_tridiagonal_segment(self):
         assert dist_to_curve([0.0], TRIDIAG)[0] <= 1e-9
 
     def test_empty_input(self):
         assert dist_to_curve([], JORDAN).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "text,z,want",
+        [
+            # the centre of a circular curve: every angle is critical
+            ("-1:1", 0.0, 1.0),
+            ("-1:1", 1e-300, 1.0),
+            ("0:0.5;3:2", 0.5, 2.0),
+            # |zeta + zeta^2 / 2| = |1 + zeta / 2| >= 1/2, at zeta = -1; the top
+            # coefficient of the critical-point polynomial is proportional to z
+            *[("1:1;2:0.5", z, 0.5) for z in (0.0, 1e-300, 1e-200, 1e-100, 1e-20)],
+            # |1e3 zeta^3 + 1e-3 zeta^-1| = |1e3 zeta^4 + 1e-3| >= 1e3 - 1e-3
+            ("3:1e3;-1:1e-3", 0.0, 1e3 - 1e-3),
+            # huge points, beside the segment [-2, 2]
+            ("-1:1;1:1", 1e300, 1e300),
+            ("-1:1;1:1", 1e308 * (1 + 1j), math.sqrt(2) * 1e308),
+        ],
+    )
+    def test_closed_form(self, text, z, want):
+        assert dist_to_curve([z], parse_symbol(text))[0] == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "text,two_sided", [("3:1e3;-1:1e-3", False), ("2:1;-3:1e-8", True), ("-1:1;0:0.5;1:1e-12", True)]
+    )
+    def test_badly_scaled_symbols(self, text, two_sided):
+        # The result and the dense search are both distances to points of the
+        # curve, so the exact value can only fall below the search.
+        # 3:1e3;-1:1e-3 runs three times round nearly one circle, and there the
+        # search's coarse argmin can settle on an arc up to 1.4e-7 (relative)
+        # farther than the nearest one: only the upper side is checked.
+        sym = parse_symbol(text)
+        rng = np.random.default_rng(19)
+        box = curve_samples(sym, 512)
+        pts = rng.uniform(box.real.min(), box.real.max(), 8) + 1j * rng.uniform(box.imag.min(), box.imag.max(), 8)
+        want = np.array([self._dense_min(sym, p) for p in pts])
+        got = dist_to_curve(pts, sym)
+        assert np.all(got <= want * (1 + 1e-12))
+        if two_sided:
+            assert np.all(got >= want * (1 - 1e-12))
+
+    def test_huge_coefficients(self):
+        # the curve is the segment [-2e308, 2e308], where products of two
+        # coefficients overflow; atol is rounding at the curve's scale
+        d = dist_to_curve([0.0, 1e308j], parse_symbol("-1:1e308;1:1e308"))
+        np.testing.assert_allclose(d, [0.0, 1e308], rtol=1e-15, atol=1e293)
+
+    def test_non_finite_points_are_infinitely_far(self):
+        d = dist_to_curve([np.nan, np.inf, complex(1, np.inf), 2.0], JORDAN)
+        np.testing.assert_array_equal(d[:3], np.inf)
+        assert d[3] == pytest.approx(1.0, rel=1e-15)
 
     @staticmethod
     def _dense_min(sym, p, m=1 << 16):

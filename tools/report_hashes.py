@@ -105,7 +105,8 @@ def configs() -> dict:
         "pseudospec_stacked": _cfg("pseudospec_map", n=16, trials=1, grid={**GRID, "nx": 41, "ny": 41}),
         # eigenvector scenarios under r^n noise on a one-sided symbol (scaled solve)
         "eigvec_outlier_exp": _cfg("eigvec_outlier", n=100, pert=EXP, trials=2, stop_after_found=3),
-        "eigvec_bulk_exp": _cfg("eigvec_bulk", n=100, pert=EXP, trials=1),
+        # r near 1 keeps the eigenvalues inside the bulk band, so localization.csv has rows
+        "eigvec_bulk_exp": _cfg("eigvec_bulk", pert={"kind": "exp", "r": 0.8}, trials=3),
         # work 20 * 100^3 = 2e7, the pool threshold: on two or more CPUs the trials run in forked workers
         "eigvec_bulk_pooled": _cfg("eigvec_bulk", n=100, trials=20),
     }
