@@ -129,6 +129,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, default in (("n", 1), ("trials", 1), ("seed", 0)):
             object.__setattr__(self, name, _typed(name, getattr(self, name), default))
+        matrixgen.check_size(self.n)  # before a scenario sizes any array by n
         parse_symbol(self.symbol)  # validates
 
     def to_dict(self) -> dict:
@@ -227,6 +228,8 @@ def trial_eigenvalues(
     spectrum is resolved far below the double-precision floor of the
     unscaled solve.  No such rule is settled for two-sided bands, which keep
     the unscaled solve and resolve r^n only while n log10(1/r) <~ 13.
+    A real symbol under real noise (or none) gives a real matrix, scaled or
+    not, which :func:`linalg.eigenvalues` solves in real arithmetic.
     """
     return linalg.eigenvalues(matrixgen.perturbed(sym, n, pert, noise, seed, scale=_solve_scale(sym, pert)))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, UnderflowError
+from .errors import ConfigError, DomainError, NonFiniteError, SizeLimitError, UnderflowError
 from .symbol import LaurentSymbol
 
 NOISE_KINDS = ("complex_gaussian", "real_gaussian", "rademacher", "uniform_pm")
@@ -28,6 +28,9 @@ _PERT_RULES = {
 }
 PERT_KINDS = tuple(_PERT_RULES)
 MATRIX_KINDS = ("toeplitz", "circulant", "perturbed")
+# the largest n whose n x n complex128 array numpy can describe; larger
+# shapes raise ValueError in numpy, smaller ones at most MemoryError
+MAX_N = math.isqrt(np.iinfo(np.intp).max // 16)
 
 _MASK64 = (1 << 64) - 1
 
@@ -47,6 +50,14 @@ def task_seed(master_seed: int, task_index: int) -> int:
     each stream depends on its index alone, not on the tasks run before it.
     """
     return _splitmix64(_splitmix64(master_seed & _MASK64) ^ (task_index & _MASK64))
+
+
+def check_size(n: int) -> None:
+    """Refuse a matrix size below 1 (DomainError) or above :data:`MAX_N` (SizeLimitError)."""
+    if n < 1:
+        raise DomainError("matrix size must be positive")
+    if n > MAX_N:
+        raise SizeLimitError(f"matrix size n={n} exceeds numpy's array size limit (n <= {MAX_N})")
 
 
 def is_real(x) -> bool:
@@ -96,12 +107,14 @@ class PerturbationSpec:
                 raise ConfigError(f"{self.kind} perturbation needs {own} in ({lo:g}, {hi:g})")
 
     def coupling(self, n: int) -> float:
-        if n < 1:
-            raise DomainError("matrix size must be positive")
+        check_size(n)
         own, _, _, delta_n = _PERT_RULES[self.kind]
         if own is None:
             return 0.0
-        delta = delta_n(getattr(self, own), n)
+        try:
+            delta = delta_n(getattr(self, own), n)
+        except OverflowError:  # float ** raises rather than return inf, e.g. poly with gamma < 0
+            raise NonFiniteError(f"coupling for kind={self.kind!r} overflows at n={n}") from None
         if delta <= 0.0:
             raise UnderflowError(f"coupling for kind={self.kind!r} underflowed at n={n}")
         return delta
@@ -141,8 +154,7 @@ class PerturbationSpec:
 
 def toeplitz(symbol: LaurentSymbol, n: int) -> np.ndarray:
     """The n x n Toeplitz matrix with entry (i, j) = a_{i-j}."""
-    if n < 1:
-        raise DomainError("matrix size must be positive")
+    check_size(n)
     m = np.zeros((n, n), dtype=complex)
     idx = np.arange(n)
     diff = idx[:, None] - idx[None, :]
@@ -159,6 +171,7 @@ def circulant(symbol: LaurentSymbol, n: int) -> np.ndarray:
     """
     if n <= symbol.kmax - symbol.kmin:
         raise ConfigError(f"band [{symbol.kmin}, {symbol.kmax}] too wide for a {n} x {n} circulant")
+    check_size(n)
     m = np.zeros((n, n), dtype=complex)
     idx = np.arange(n)
     diff = (idx[:, None] - idx[None, :]) % n
@@ -169,8 +182,7 @@ def circulant(symbol: LaurentSymbol, n: int) -> np.ndarray:
 
 def sample_noise(spec: NoiseSpec, n: int, seed: int) -> np.ndarray:
     """An n x n draw of i.i.d. unit-variance noise, a pure function of (spec, n, seed)."""
-    if n < 1:
-        raise DomainError("matrix size must be positive")
+    check_size(n)
     rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
     if spec.kind == "complex_gaussian":
         g = rng.standard_normal((2, n, n))

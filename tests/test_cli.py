@@ -232,6 +232,10 @@ def _params(scenario, **params):
         ({"scenario": "pairing", "symbol": "-1:1e308", "pert": {"kind": "poly", "gamma": 2}}, 2, "match_costs"),
         ({"scenario": "no_outlier", "symbol": "-1:1e308", "n": 1, "pert": {"kind": "exp", "r": 0.1}}, 2, "overflows"),
         ({**_params("eigvec_bulk", c_band=1e308), "symbol": "-1:1e308", "n": 7}, 2, "norm overflows"),
+        ({"scenario": "lsd_subexp", "pert": {"kind": "poly", "gamma": -700}}, 2, "coupling for kind='poly' overflows"),
+        ({"scenario": "grushin", "pert": {"kind": "poly", "gamma": -700}}, 2, "coupling for kind='poly' overflows"),
+        ({"scenario": "lsd_subexp", "n": 1e20, "pert": {"kind": "poly", "gamma": 2}}, 1, "array size limit"),
+        ({"scenario": "pairing", "n": 1e20, "pert": {"kind": "poly", "gamma": 1}}, 1, "array size limit"),
     ],
     ids=[
         "string_int_param",
@@ -269,6 +273,10 @@ def _params(scenario, **params):
         "overflowing_match_cost",
         "overflowing_root",
         "overflowing_matrix_norm",
+        "overflowing_poly_coupling",
+        "overflowing_grushin_coupling",
+        "n_beyond_array_limit",
+        "pairing_n_beyond_array_limit",
     ],
 )
 def test_malformed_config_ends_in_one_line(tmp_path, capsys, patch, code, needle):
@@ -302,6 +310,10 @@ _PSEUDO = ["pseudospectrum", "--symbol", "-1:1", "--n", "4", "--nx", "5", "--ny"
         ([*_PSEUDO, "--im-max", "nan"], "param grid.im_max"),
         ([*_SPECTRUM, "--pert", "none:3"], "none perturbation takes no value"),
         ([*_PSEUDO, "--symbol", "-1:1;1:1", "--n", "2", "--matrix", "circulant"], "too wide"),
+        ([*_SPECTRUM, "--n", "99999999999999999999"], "array size limit"),
+        ([*_SPECTRUM, "--n", "99999999999999999999", "--pert", "exp:0.5"], "array size limit"),
+        ([*_PSEUDO, "--n", "99999999999999999999"], "array size limit"),
+        ([*_PSEUDO, "--n", "99999999999999999999", "--matrix", "circulant"], "array size limit"),
     ],
     ids=[
         "nan_symbol",
@@ -318,6 +330,10 @@ _PSEUDO = ["pseudospectrum", "--symbol", "-1:1", "--n", "4", "--nx", "5", "--ny"
         "nan_grid_bound",
         "none_pert_with_value",
         "circulant_band_too_wide",
+        "spectrum_n_beyond_array_limit",
+        "spectrum_exp_n_beyond_array_limit",
+        "pseudospectrum_n_beyond_array_limit",
+        "circulant_n_beyond_array_limit",
     ],
 )
 def test_malformed_flag_ends_in_one_line(tmp_path, monkeypatch, capsys, argv, needle):
@@ -326,6 +342,18 @@ def test_malformed_flag_ends_in_one_line(tmp_path, monkeypatch, capsys, argv, ne
     first = capsys.readouterr().err.splitlines()[0]
     assert first.startswith("error: ") and needle in first
     assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*_SPECTRUM, "--n", "50", "--pert", "poly:-700"], [*_PSEUDO, "--n", "50", "--matrix", "perturbed", "--pert", "poly:-700"]],
+    ids=["spectrum", "pseudospectrum"],
+)
+def test_overflowing_coupling_flag_ends_in_one_line(capsys, argv):
+    # 50 ** 700 overflows a float: a numerical failure, as an underflowing coupling is
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numerical failure: coupling for kind='poly' overflows at n=50"]
 
 
 @pytest.mark.parametrize(

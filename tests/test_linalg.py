@@ -103,6 +103,70 @@ class TestEigenvalues:
                 assert from_eigs == pytest.approx(direct, rel=1e-6)
 
 
+def _matched_max(xs, ys) -> float:
+    """Largest |x - y| over the optimal pairing of two equal-size point sets."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.abs(np.asarray(xs)[:, None] - np.asarray(ys)[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def _real_ensemble(symbol, n, noise, pert, seed=5):
+    m = perturbed(parse_symbol(symbol), n, pert, NoiseSpec(noise), seed)
+    assert m.dtype == complex and not m.imag.any()
+    return m
+
+
+class TestRealEigenvalues:
+    """A matrix with no imaginary part is solved in real arithmetic (dgeev)."""
+
+    def test_all_real_spectrum_is_complex128(self):
+        # T_12 of 2 cos(theta): eigenvalues 2 cos(pi j / 13), all real, so
+        # dgeev returns a float array that eigenvalues casts back
+        n = 12
+        eigs = eigenvalues(perturbed(TRIDIAG, n, PerturbationSpec("none"), NoiseSpec(), 0))
+        assert eigs.dtype == np.complex128
+        exact = 2 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+        np.testing.assert_allclose(np.sort(eigs.real), np.sort(exact), atol=1e-14)
+        assert not eigs.imag.any()
+
+    def test_spectrum_exactly_closed_under_conjugation(self):
+        eigs = eigenvalues(_real_ensemble("-1:1", 60, "rademacher", PerturbationSpec("poly", gamma=1)))
+        assert eigs.imag.any()
+        np.testing.assert_array_equal(np.sort_complex(eigs), np.sort_complex(eigs.conj()))
+
+    def test_real_and_complex_solves_agree(self):
+        n = 200
+        m = _real_ensemble("-1:1", n, "rademacher", PerturbationSpec("poly", gamma=1))
+        bound = 1e3 * np.finfo(float).eps * n * np.linalg.norm(m, 2)
+        assert _matched_max(eigenvalues(m), np.linalg.eigvals(m)) <= bound
+
+    @pytest.mark.parametrize(
+        "symbol, n, noise, pert",
+        [
+            ("-1:1", 20, "rademacher", PerturbationSpec("poly", gamma=2)),
+            ("-1:1;1:0.5", 24, "real_gaussian", PerturbationSpec("poly", gamma=1)),
+            # unscaled: r^24 ~ 6e-8 sits above the solver's floor
+            ("-1:1", 24, "uniform_pm", PerturbationSpec("exp", r=0.5)),
+        ],
+        ids=["rademacher_jordan", "real_gaussian_tridiagonal", "uniform_pm_exp"],
+    )
+    def test_against_mpmath(self, symbol, n, noise, pert):
+        mpmath = pytest.importorskip("mpmath")
+        m = _real_ensemble(symbol, n, noise, pert)
+        with mpmath.workdps(50):
+            ref = [complex(x) for x in mpmath.eig(mpmath.matrix(m.real.tolist()), left=False, right=False)]
+        assert _matched_max(eigenvalues(m), ref) <= 1e-12
+
+    def test_tiny_imaginary_part_keeps_the_complex_solve(self):
+        m = _real_ensemble("-1:1", 40, "rademacher", PerturbationSpec("poly", gamma=1))
+        m[0, -1] += 1e-300j
+        np.testing.assert_array_equal(eigenvalues(m), np.linalg.eigvals(m))
+        # the two solvers differ in the last bits, so the check above sees the path
+        assert not np.array_equal(eigenvalues(m.real), np.linalg.eigvals(m))
+
+
 class TestSvd:
     def test_values_nondecreasing(self):
         res = svd(np.diag([3.0, 1e-2]))

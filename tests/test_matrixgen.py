@@ -3,8 +3,18 @@ import numpy as np
 import pytest
 
 from helpers import corner, jordan, random_symbol
-from toepspec.errors import ConfigError, UnderflowError
-from toepspec.matrixgen import NoiseSpec, PerturbationSpec, circulant, perturbed, sample_noise, task_seed, toeplitz
+from toepspec.errors import ConfigError, DomainError, NonFiniteError, SizeLimitError, UnderflowError
+from toepspec.matrixgen import (
+    MAX_N,
+    NoiseSpec,
+    PerturbationSpec,
+    check_size,
+    circulant,
+    perturbed,
+    sample_noise,
+    task_seed,
+    toeplitz,
+)
 from toepspec.symbol import parse_symbol
 
 JORDAN = parse_symbol("-1:1")
@@ -127,6 +137,12 @@ class TestPerturbationSpec:
         with pytest.raises(UnderflowError):
             PerturbationSpec("superexp", c=1.0).coupling(400)
 
+    def test_overflow(self):
+        # 50 ** 700 lies beyond the float range; 50 ** 150 does not
+        with pytest.raises(NonFiniteError, match="overflows at n=50"):
+            PerturbationSpec("poly", gamma=-700).coupling(50)
+        assert PerturbationSpec("poly", gamma=-150).coupling(50) == pytest.approx(50.0**150)
+
     def test_parse_grammar(self):
         assert PerturbationSpec.parse("poly:2").gamma == 2
         assert PerturbationSpec.parse("exp:0.5").r == 0.5
@@ -192,3 +208,29 @@ class TestTaskSeed:
         assert len(seeds) == 1000
         assert task_seed(42, 7) == task_seed(42, 7)
         assert task_seed(42, 7) != task_seed(43, 7)
+
+
+class TestCheckSize:
+    def test_bounds(self):
+        check_size(1)
+        check_size(MAX_N)
+        with pytest.raises(DomainError):
+            check_size(0)
+        with pytest.raises(SizeLimitError):
+            check_size(MAX_N + 1)
+
+    def test_limit_is_numpys(self):
+        # one past the limit numpy refuses the shape itself, before it allocates anything
+        with pytest.raises(ValueError, match="too big"):
+            np.empty((MAX_N + 1, MAX_N + 1), dtype=complex)
+
+    @pytest.mark.parametrize("build", [toeplitz, circulant], ids=["toeplitz", "circulant"])
+    def test_builders_refuse_sizes_beyond_the_limit(self, build):
+        with pytest.raises(SizeLimitError):
+            build(JORDAN, 10**20)
+
+    def test_noise_and_coupling_refuse_sizes_beyond_the_limit(self):
+        with pytest.raises(SizeLimitError):
+            sample_noise(NoiseSpec("rademacher"), 10**20, 1)
+        with pytest.raises(SizeLimitError):
+            PerturbationSpec("exp", r=0.5).coupling(10**20)

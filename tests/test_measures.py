@@ -370,15 +370,11 @@ class TestDistToCurve:
     def test_closed_form(self, text, z, want):
         assert dist_to_curve([z], parse_symbol(text))[0] == pytest.approx(want, rel=1e-15)
 
-    @pytest.mark.parametrize(
-        "text,two_sided", [("3:1e3;-1:1e-3", False), ("2:1;-3:1e-8", True), ("-1:1;0:0.5;1:1e-12", True)]
-    )
-    def test_badly_scaled_symbols(self, text, two_sided):
+    @pytest.mark.parametrize("text", ["3:1e3;-1:1e-3", "2:1;-3:1e-8", "-1:1;0:0.5;1:1e-12"])
+    def test_badly_scaled_symbols(self, text):
         # The result and the dense search are both distances to points of the
-        # curve, so the exact value can only fall below the search.
-        # 3:1e3;-1:1e-3 runs three times round nearly one circle, and there the
-        # search's coarse argmin can settle on an arc up to 1.4e-7 (relative)
-        # farther than the nearest one: only the upper side is checked.
+        # curve, so the exact value can only fall below the search, and the
+        # refined search comes within 1e-12 of it from above.
         sym = parse_symbol(text)
         rng = np.random.default_rng(19)
         box = curve_samples(sym, 512)
@@ -386,8 +382,16 @@ class TestDistToCurve:
         want = np.array([self._dense_min(sym, p) for p in pts])
         got = dist_to_curve(pts, sym)
         assert np.all(got <= want * (1 + 1e-12))
-        if two_sided:
-            assert np.all(got >= want * (1 - 1e-12))
+        assert np.all(got >= want * (1 - 1e-12))
+
+    def test_multiply_covered_curve(self):
+        # 3:1e3;-1:1e-3 runs three times round nearly one circle; at 1e3j the
+        # three arcs pass at 1e-3, 5e-4 and 5e-4, and the least coarse sample
+        # lies on the first
+        sym = parse_symbol("3:1e3;-1:1e-3")
+        want = self._dense_min(sym, 1e3j)
+        assert want == pytest.approx(5.0e-4, rel=1e-4)
+        assert dist_to_curve([1e3j], sym)[0] == pytest.approx(want, rel=1e-12)
 
     def test_huge_coefficients(self):
         # the curve is the segment [-2e308, 2e308], where products of two
@@ -401,13 +405,30 @@ class TestDistToCurve:
         assert d[3] == pytest.approx(1.0, rel=1e-15)
 
     @staticmethod
-    def _dense_min(sym, p, m=1 << 16):
-        """min |a(e^{it}) - p| over m angles, then over m angles of the bracketing arc."""
-        t = 2 * np.pi * np.arange(m) / m
+    def _dense_min(sym, p, m=1 << 16, fine_m=1 << 10):
+        """min |a(e^{it}) - p| over m angles, refined round every coarse local minimum
+        within the sampling error (curve speed times half a step) of the least sample.
+
+        Each refinement takes fine_m angles across the two steps round its
+        minimum, then narrows to the two fine steps round the least of them,
+        four times; so every arc that can hold the nearest point is searched.
+        """
+        h = 2 * np.pi / m
+        t = h * np.arange(m)
         d = np.abs(evaluate(sym, np.exp(1j * t)) - p)
-        k = int(np.argmin(d))
-        fine = t[k] + 2 * np.pi / m * np.linspace(-1.0, 1.0, m)
-        return min(float(d[k]), float(np.min(np.abs(evaluate(sym, np.exp(1j * fine)) - p))))
+        speed = sum(abs(k * c) for k, c in sym.coeffs.items())
+        local = (d <= np.roll(d, 1)) & (d < np.roll(d, -1)) & (d <= d.min() + speed * h / 2)
+        local[np.argmin(d)] = True
+        best = float(d.min())
+        for k in np.flatnonzero(local):
+            mid, half = t[k], h
+            for _ in range(4):
+                fine = mid + half * np.linspace(-1.0, 1.0, fine_m)
+                df = np.abs(evaluate(sym, np.exp(1j * fine)) - p)
+                j = int(np.argmin(df))
+                best = min(best, float(df[j]))
+                mid, half = fine[j], 2 * half / (fine_m - 1)
+        return best
 
     def test_matches_dense_minimum_on_random_symbols(self):
         # seed 11 draws a fast curve with a point whose nearest arc falls

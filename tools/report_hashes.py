@@ -8,7 +8,7 @@ The set is every scenario at a small size plus the first rotation of each
 benchmark workload at --seed 1.  Each config runs in-process through
 `toepspec.cli.main` with a relative out-dir under WORK_DIR, so the artifact
 paths inside the reports do not depend on WORK_DIR.  A few `spectrum` and
-`pseudospectrum` invocations (the README's two examples at small n, and two
+`pseudospectrum` invocations (the README's two examples at small n, and three
 that print to stdout) run the same way.  The output maps each config or
 invocation to its exit code and the sha256 prefix of every file it wrote,
 plus, for an invocation, of its stdout; it exits 1 if any of them exited
@@ -32,13 +32,13 @@ EXP = {"kind": "exp", "r": 0.5}
 GRID = {"re_min": -2, "re_max": 2, "im_min": -2, "im_max": 2}
 
 
-def _cfg(scenario, symbol="-1:1", n=40, pert=None, trials=2, **params):
+def _cfg(scenario, symbol="-1:1", n=40, pert=None, trials=2, noise="complex_gaussian", **params):
     return {
         "scenario": scenario,
         "symbol": symbol,
         "n": n,
         "pert": pert or {"kind": "poly", "gamma": 2},
-        "noise": "complex_gaussian",
+        "noise": noise,
         "trials": trials,
         "seed": 7,
         "params": params,
@@ -52,6 +52,8 @@ CLI = {
         "--seed", "7", "--out", "{out}/eigs.csv", "--plot", "{out}/eigs.svg",
     ],
     "cli_spectrum_stdout": ["spectrum", "--symbol", "-1:1;1:1", "--n", "12", "--pert", "exp:0.5", "--seed", "3"],
+    # a real matrix with an all-real spectrum: the real solver's float result is cast back to complex
+    "cli_spectrum_real": ["spectrum", "--symbol", "-1:1;1:1", "--n", "12", "--pert", "none"],
     "cli_pseudospectrum": [
         "pseudospectrum", "--symbol", "-1:1;1:1", "--n", "20", "--re-min", "-3", "--re-max", "3",
         "--im-min", "-3", "--im-max", "3", "--nx", "21", "--ny", "21", "--levels", "0.01,0.1",
@@ -109,6 +111,10 @@ def configs() -> dict:
         "eigvec_bulk_exp": _cfg("eigvec_bulk", pert={"kind": "exp", "r": 0.8}, trials=3),
         # work 20 * 100^3 = 2e7, the pool threshold: on two or more CPUs the trials run in forked workers
         "eigvec_bulk_pooled": _cfg("eigvec_bulk", n=100, trials=20),
+        # real matrices, solved in real arithmetic: work 3 * 200^3 = 2.4e7 pools the trials on
+        # two or more CPUs, and the tridiagonal block's spectrum is all real
+        "pairing_real_pooled": _cfg("pairing", n=200, pert={"kind": "poly", "gamma": 1}, trials=3, noise="rademacher"),
+        "outlier_count_real": _cfg("outlier_count", symbol="-1:1;1:1", pert={"kind": "none"}),
     }
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
