@@ -61,9 +61,9 @@ def _build_parser() -> _Parser:
     ps.add_argument("--symbol", required=True)
     ps.add_argument("--n", type=_positive_int, required=True)
     ps.add_argument("--matrix", default="toeplitz", choices=matrixgen.MATRIX_KINDS)
-    ps.add_argument("--pert", default="none")
-    ps.add_argument("--noise", default="complex_gaussian", choices=matrixgen.NOISE_KINDS)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--pert")
+    ps.add_argument("--noise", choices=matrixgen.NOISE_KINDS)
+    ps.add_argument("--seed", type=int)
     ps.add_argument("--re-min", type=float, default=-2.0)
     ps.add_argument("--re-max", type=float, default=2.0)
     ps.add_argument("--im-min", type=float, default=-2.0)
@@ -107,14 +107,18 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_pseudospectrum(args) -> int:
+    given = [f"--{k}" for k in ("pert", "noise", "seed") if getattr(args, k) is not None]
+    if given and args.matrix != "perturbed":
+        raise ConfigError(f"{' '.join(given)}: only --matrix perturbed draws noise, not --matrix {args.matrix}")
     sym = parse_symbol(args.symbol)
-    pert = PerturbationSpec.parse(args.pert)
+    pert = PerturbationSpec.parse(args.pert or "none")
     # the grid flags and --levels are pseudospec_map's params, under its rules
     grid_keys = ("re_min", "re_max", "im_min", "im_max", "nx", "ny")
     params = experiments.check_params(
         "pseudospec_map", {"grid": {k: getattr(args, k) for k in grid_keys}, "levels": args.levels}
     )
-    m = matrixgen.build_matrix(args.matrix, sym, args.n, pert, NoiseSpec(args.noise), args.seed)
+    noise = NoiseSpec(args.noise or "complex_gaussian")
+    m = matrixgen.build_matrix(args.matrix, sym, args.n, pert, noise, args.seed or 0)
     field = pseudospec.smin_field(m, pseudospec.GridSpec(**params["grid"]))
     levels = sorted(params["levels"])
     if args.out:
@@ -149,16 +153,10 @@ def _cmd_list() -> int:
 def _join_dash_values(argv: list[str]) -> list[str]:
     """Fold `--symbol -1:1` into `--symbol=-1:1` so argparse does not read
     the leading-dash coefficient string as an option."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--symbol" and i + 1 < len(argv):
-            out.append(f"--symbol={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    out, rest = [], iter(argv)
+    for tok in rest:
+        value = next(rest, None) if tok == "--symbol" else None
+        out.append(tok if value is None else f"--symbol={value}")
     return out
 
 

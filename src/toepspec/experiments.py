@@ -6,8 +6,8 @@ byte-identical for identical configs.  :func:`run` parses and checks the
 config, writes the artifacts, and decides every verdict from the pass rules
 declared with the scenario; a runner is only a reduction over the trials to
 metrics.  Trials run through :meth:`TrialEnsemble.map`, which splits a large
-ensemble over forked workers, one pinned to each CPU.  Two loops stay in this
-process: ``eigvec_outlier``'s, which stops early, and the Grushin gaps'.
+ensemble over this process and forked workers, one pinned to each other CPU.
+Serial: ``eigvec_outlier``'s loop, which stops early, and the Grushin gaps.
 
 Eigenvector direction convention.  For an eigenvalue lambda with winding
 number d(lambda) of the symbol curve, the localized mass sits at the FRONT
@@ -234,10 +234,6 @@ def trial_eigenvalues(
     return linalg.eigenvalues(matrixgen.perturbed(sym, n, pert, noise, seed, scale=_solve_scale(sym, pert)))
 
 
-def _trials(fn, ens: "TrialEnsemble", ts) -> list:
-    return [fn(ens, t) for t in ts]
-
-
 def _solve(ens: "TrialEnsemble", t: int) -> np.ndarray:
     return linalg.eigenvalues(ens.matrix(t))
 
@@ -246,8 +242,8 @@ class TrialEnsemble:
     """The trials of one config, each a pure function of (config, t): nothing per trial is kept.
 
     Trial t's matrix is the one :func:`trial_eigenvalues` solves at seed task_seed(seed, t).
-    :meth:`map` runs a per-trial function over all trials, a large ensemble split over forked
-    workers (see :func:`_pool.map_chunks`); :attr:`eigenvalues` is that map of the eigensolve.
+    :meth:`map` runs a per-trial function over all trials, a large ensemble's first stride here and
+    the others in forked workers (see :func:`_pool.map_chunks`); :attr:`eigenvalues` maps the eigensolve.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -260,8 +256,8 @@ class TrialEnsemble:
         return matrixgen.perturbed(self.sym, cfg.n, cfg.pert, cfg.noise, task_seed(cfg.seed, t), scale=self.rho)
 
     def map(self, fn) -> list:
-        """[fn(self, t) for every trial t], in trial order; fn must pickle (a module-level function or its partial)."""
-        return map_chunks(partial(_trials, fn, self), range(self.cfg.trials), self.cfg.n)
+        """[fn(self, t) for every trial t], in trial order; a worker's results must pickle, fn need not."""
+        return map_chunks(lambda ts: [fn(self, t) for t in ts], range(self.cfg.trials), self.cfg.n)
 
     @cached_property
     def eigenvalues(self) -> list[np.ndarray]:
@@ -778,7 +774,7 @@ def _run_grushin(ens: TrialEnsemble, params: dict, out_dir):
     delta = cfg.pert.coupling(cfg.n)
     a = matrixgen.toeplitz(ens.sym, cfg.n) - z * np.eye(cfg.n)
     sv = linalg.svd(a).singular_values
-    # not ens.map: a gap draws noise only, which _pool would price as an eigensolve and pool at a loss
+    # not ens.map: two n=400 gaps, ~15 ms each, slow each other pooled and gain nothing (README)
     gaps = [
         grushin.equivalence_gap(a, sv, matrixgen.sample_noise(cfg.noise, cfg.n, task_seed(cfg.seed, t)), delta, alpha)
         for t in range(cfg.trials)

@@ -16,8 +16,8 @@ a full SVD when it stagnates.  All kernels are reentrant and deterministic.
 Importing this module runs both bundled OpenBLAS copies on one thread: at
 the sizes met here (n = 50-500) extra BLAS threads cost more than they
 give, and one thread makes every result independent of the core count and
-of OPENBLAS_NUM_THREADS.  Their idle pool threads stop, so forks are safe.
-scipy.linalg, loaded later, calls the same already pinned copy.
+of OPENBLAS_NUM_THREADS.  Their idle pool threads stop, so _pool forks a
+single-threaded process; scipy.linalg, loaded later, calls that pinned copy.
 """
 
 from __future__ import annotations

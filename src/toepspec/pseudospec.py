@@ -74,8 +74,8 @@ def smin_field(m: np.ndarray, grid: GridSpec) -> ScalarField:
     shifted matrices of at most _STACK_BYTES each, one batched SVD per
     stack; each value is bit-equal to :func:`smallest_singular` at that
     node.  Other sizes make one :func:`smallest_singular` call per node.  A
-    large grid is split over forked workers (fork starts one in ms), each
-    pinned to its own CPU, which unpinned workers may share.
+    large grid is split over this process and forked workers (~3 ms each),
+    one pinned to each other CPU (see :func:`_pool.map_chunks`).
     """
     m = _require_square(m)
     if m.shape[0] > SMIN_DIRECT_MAX_N:

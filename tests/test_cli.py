@@ -356,6 +356,18 @@ def test_overflowing_coupling_flag_ends_in_one_line(capsys, argv):
     assert err == ["numerical failure: coupling for kind='poly' overflows at n=50"]
 
 
+@pytest.mark.parametrize("flags", [["--pert", "poly:2"], ["--noise", "rademacher"], ["--seed", "0"]])
+@pytest.mark.parametrize("matrix", [[], ["--matrix", "toeplitz"], ["--matrix", "circulant"]])
+def test_perturbation_flags_need_the_perturbed_matrix(capsys, flags, matrix):
+    # they would change nothing: only --matrix perturbed draws noise
+    assert main([*_PSEUDO, *matrix, *flags]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error: ")] == [
+        f"error: {flags[0]}: only --matrix perturbed draws noise, not --matrix {matrix[1] if matrix else 'toeplitz'}"
+    ]
+    assert main([*_PSEUDO, "--matrix", "perturbed", *flags]) == 0
+
+
 @pytest.mark.parametrize(
     "argv, path",
     [

@@ -1,4 +1,4 @@
-"""Forked worker pools: pinned workers, and the bytes, exit codes and messages of a serial run.
+"""Forked worker pools: the parent's share, pinned workers, and the bytes, exit codes and messages of a serial run.
 
 Every test here sets _POOL_MIN_WORK to 0 where it wants the pool, so that
 the pool runs at test size, and checks that each fork happens while the
@@ -12,13 +12,15 @@ import math
 import os
 import subprocess
 import sys
+import time
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from toepspec import _pool, linalg, pseudospec
 from toepspec.cli import main
-from toepspec.errors import ConfigError, ConvergenceError, NonFiniteError, SizeLimitError
+from toepspec.errors import ConfigError, ConvergenceError, NonFiniteError, SizeLimitError, WorkerDiedError
 
 pytestmark = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: map_chunks never forks")
 
@@ -81,9 +83,10 @@ def test_workers_take_strided_chunks_pinned_to_one_cpu_each(forks, monkeypatch):
     out = _pool.map_chunks(_where_run, items, 1)
     cpus = sorted(os.sched_getaffinity(0))
     k = min(len(cpus), len(items))
-    assert len(forks) == k
+    assert len(forks) == k - 1  # stride 0 is the parent's own
     assert [x for x, _, _ in out] == items
-    for w in range(k):
+    assert {(pid, affinity) for _, pid, affinity in out[0::k]} == {(os.getpid(), tuple(cpus))}
+    for w in range(1, k):
         where = {(pid, affinity) for _, pid, affinity in out[w::k]}
         assert len(where) == 1
         pid, affinity = where.pop()
@@ -101,7 +104,7 @@ def test_pooled_run_writes_the_serial_bytes(name, forks, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path / mode)
         assert main(["run", str(cfg_path), "--out-dir", "out"]) == 0
         outs[mode] = {p.name: p.read_bytes() for p in Path("out").iterdir()}
-    assert len(forks) >= 2
+    assert forks
     assert "report.json" in outs["pooled"]
     assert outs["pooled"] == outs["serial"]
 
@@ -137,13 +140,15 @@ def _argv(where: str, tmp_path) -> list[str]:
     return ["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]
 
 
+def _module(where: str):
+    return linalg if where == "eigenvalues" else pseudospec
+
+
 def _patch(monkeypatch, where: str, fn) -> None:
-    module = linalg if where == "eigenvalues" else pseudospec
-    monkeypatch.setattr(module, where, fn)
+    monkeypatch.setattr(_module(where), where, fn)
 
 
-@pytest.mark.parametrize("where", ["eigenvalues", "smallest_singular"])
-@pytest.mark.parametrize(
+_FAILURES = pytest.mark.parametrize(
     "exc, code",
     [
         (ConfigError("bad input"), 1),
@@ -154,36 +159,127 @@ def _patch(monkeypatch, where: str, fn) -> None:
     ],
     ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else str(v),
 )
-def test_worker_exception_ends_like_the_serial_run(exc, code, where, forks, tmp_path, monkeypatch, capfd):
-    def fail(*args, **kwargs):
-        raise exc
 
-    _patch(monkeypatch, where, fail)
-    argv = _argv(where, tmp_path)
+
+def _serial_and_pooled_ends(argv, monkeypatch, capfd):
     ends = []
     for min_work in (math.inf, 0):
         monkeypatch.setattr(_pool, "_POOL_MIN_WORK", min_work)
         rc = main(argv)
         ends.append((rc, capfd.readouterr().err))
-    assert len(forks) >= 2
+    return ends
+
+
+@pytest.mark.parametrize("where", ["eigenvalues", "smallest_singular"])
+@_FAILURES
+def test_worker_exception_ends_like_the_serial_run(exc, code, where, forks, tmp_path, monkeypatch, capfd):
+    def fail(*args, **kwargs):
+        raise exc
+
+    _patch(monkeypatch, where, fail)
+    ends = _serial_and_pooled_ends(_argv(where, tmp_path), monkeypatch, capfd)
+    assert forks
     assert ends[0][0] == code
     assert ends[1] == ends[0]
     assert ends[1][1].startswith(("error: ", "numerical failure: ")) and "Traceback" not in ends[1][1]
 
 
 @pytest.mark.parametrize("where", ["eigenvalues", "smallest_singular"])
+@_FAILURES
+def test_exception_only_in_a_worker_ends_like_the_serial_run(exc, code, where, forks, tmp_path, monkeypatch, capfd):
+    # serially the kernel raises in this process; pooled, only in a worker,
+    # while the parent's own stride completes
+    parent = os.getpid()
+    kernel = getattr(_module(where), where)
+
+    def fail_in_worker(*args, **kwargs):
+        if os.getpid() != parent or _pool._POOL_MIN_WORK:
+            raise exc
+        return kernel(*args, **kwargs)
+
+    _patch(monkeypatch, where, fail_in_worker)
+    ends = _serial_and_pooled_ends(_argv(where, tmp_path), monkeypatch, capfd)
+    assert forks
+    assert ends[0][0] == code
+    assert ends[1] == ends[0]
+
+
+@pytest.mark.parametrize("where", ["eigenvalues", "smallest_singular"])
 def test_dead_worker_exits_two_with_one_error_line(where, forks, tmp_path, monkeypatch, capfd):
     parent = os.getpid()
+    kernel = getattr(_module(where), where)
 
     def die(*args, **kwargs):
-        if os.getpid() == parent:
-            raise AssertionError("the kernel ran in the parent process")
-        os._exit(1)
+        if os.getpid() != parent:
+            os._exit(1)
+        return kernel(*args, **kwargs)
 
     _patch(monkeypatch, where, die)
     monkeypatch.setattr(_pool, "_POOL_MIN_WORK", 0)
     rc = main(_argv(where, tmp_path))
     err = capfd.readouterr().err
-    assert len(forks) >= 2
+    assert forks
     assert rc == 2
     assert err.startswith("error: a worker process died") and err.count("\n") == 1
+
+
+def _ends(how: str, parent: int, items):
+    """A chunk kernel that ends as `how` says in the workers or in the parent."""
+    worker = os.getpid() != parent
+    if how == "parent_raises" and not worker:
+        raise ValueError("in the parent")
+    if how == "parent_raises":
+        time.sleep(60)  # only a kill ends this worker before the test times out
+    if how == "worker_raises" and worker:
+        raise ValueError("in a worker")
+    if how == "worker_dies" and worker:
+        os._exit(3)
+    return list(items)
+
+
+@pytest.mark.parametrize("how", ["clean", "parent_raises", "worker_raises", "worker_dies"])
+def test_no_worker_or_pipe_outlives_the_call(how, forks, monkeypatch):
+    monkeypatch.setattr(_pool, "_POOL_MIN_WORK", 0)
+    fds = len(os.listdir("/proc/self/fd"))
+    start = time.perf_counter()
+    call = partial(_pool.map_chunks, partial(_ends, how, os.getpid()), range(5), 1)
+    if how == "clean":
+        assert call() == list(range(5))
+    else:
+        with pytest.raises(WorkerDiedError if how == "worker_dies" else ValueError):
+            call()
+    assert forks
+    assert time.perf_counter() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+_SYSTEM_EXIT = """
+import os, sys
+from toepspec import _pool
+
+_pool._POOL_MIN_WORK = 0
+parent = os.getpid()
+
+def exit_in_worker(items):
+    if os.getpid() != parent:
+        sys.exit(5)
+    return list(items)
+
+try:
+    _pool.map_chunks(exit_in_worker, range(4), 1)
+except SystemExit as exc:
+    print("raised", exc.code)
+print("after the call in", "the parent" if os.getpid() == parent else "a worker")
+"""
+
+
+def test_system_exit_in_a_worker_leaves_through_os_exit():
+    # were the worker to leave through the SystemExit, it would run this
+    # script's last line too, as a second copy of the parent
+    src = str(Path(_pool.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-c", _SYSTEM_EXIT]
+    out = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["raised 5", "after the call in the parent"]

@@ -109,7 +109,7 @@ def configs() -> dict:
         "eigvec_outlier_exp": _cfg("eigvec_outlier", n=100, pert=EXP, trials=2, stop_after_found=3),
         # r near 1 keeps the eigenvalues inside the bulk band, so localization.csv has rows
         "eigvec_bulk_exp": _cfg("eigvec_bulk", pert={"kind": "exp", "r": 0.8}, trials=3),
-        # work 20 * 100^3 = 2e7, the pool threshold: on two or more CPUs the trials run in forked workers
+        # work 20 * 100^3 = 2e7, over the pool threshold: on two or more CPUs forked workers share the trials
         "eigvec_bulk_pooled": _cfg("eigvec_bulk", n=100, trials=20),
         # real matrices, solved in real arithmetic: work 3 * 200^3 = 2.4e7 pools the trials on
         # two or more CPUs, and the tridiagonal block's spectrum is all real
