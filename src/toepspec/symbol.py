@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -156,8 +155,7 @@ def curve_samples(symbol: LaurentSymbol, n: int, radius: float = 1.0) -> np.ndar
     return evaluate(symbol, radius * np.exp(2j * np.pi * np.arange(n) / n))
 
 
-@dataclass(frozen=True)
-class RootProfile:
+class RootProfile(NamedTuple):
     """Roots of q_z(zeta) = zeta^{n_minus_eff} (a(zeta) - z), sorted by nonincreasing modulus.
 
     ``infinite`` counts the roots at infinity created when the top coefficients
@@ -232,20 +230,15 @@ def root_profiles(symbol: LaurentSymbol, zs) -> list[RootProfile]:
         roots = roots[np.arange(len(rows))[:, None], order]
         mods = np.abs(roots)
         infinite = target - deg
-        counts = zip(
+        for row, rts, leading, on_circle, mplus, mminus in zip(
+            rows.tolist(),
+            roots.tolist(),
+            coeffs[rows, deg].tolist(),
             (np.abs(mods - 1.0) < ON_CIRCLE_TOL).sum(axis=-1).tolist(),
             (mods >= 1.0 + ON_CIRCLE_TOL).sum(axis=-1).tolist(),
             (mods <= 1.0 - ON_CIRCLE_TOL).sum(axis=-1).tolist(),
-        )
-        for row, rts, (on_circle, mplus, mminus) in zip(rows.tolist(), roots, counts):
-            out[row] = RootProfile(
-                roots=tuple(rts),
-                infinite=infinite,
-                leading=complex(coeffs[row, deg]),
-                mplus=infinite + mplus,
-                mminus=mminus,
-                on_circle=on_circle,
-            )
+        ):
+            out[row] = RootProfile(tuple(rts), infinite, leading, infinite + mplus, mminus, on_circle)
     return out
 
 

@@ -419,6 +419,13 @@ def test_commands_import_only_the_scipy_submodules_they_use(tmp_path):
     small = {"symbol": "-1:1;1:1", "n": 30, "pert": {"kind": "poly", "gamma": 1}, "noise": "rademacher", "seed": 3}
     configs = {
         "lsd_subexp": {**small, "scenario": "lsd_subexp", "trials": 2, "params": {}},
+        "lsd_exp": {
+            **small,
+            "scenario": "lsd_exp",
+            "pert": {"kind": "exp", "r": 0.5},
+            "trials": 2,
+            "params": {"probe_count": 4},
+        },
         "grushin": {**small, "scenario": "grushin", "trials": 1, "params": {}},
         "pairing": {**small, "scenario": "pairing", "trials": 1, "params": {}},
     }
@@ -426,7 +433,7 @@ def test_commands_import_only_the_scipy_submodules_they_use(tmp_path):
     argv = [sys.executable, "-c", _SCIPY_SUBMODULES, str(tmp_path), json.dumps(configs)]
     out = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
     steps = json.loads(out.stdout.splitlines()[-1])
-    assert steps["list"] == [] and steps["lsd_subexp"] == []
+    assert steps["list"] == [] and steps["lsd_subexp"] == [] and steps["lsd_exp"] == []
     assert steps["grushin"] == ["scipy.linalg"]
     assert "scipy.optimize" in steps["pairing"]
 

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from helpers import probe_points_off_support_per_draw, probe_points_regions_per_draw, read_sample_csv
 from toepspec import experiments
@@ -514,15 +513,24 @@ class TestProbePlacement:
         assert got == probe_points_off_support_per_draw(sym, 10, 0.1, seed)
 
     def test_margin_test_is_the_exact_expression_at_the_margin(self):
-        # margins set to each z's own distance, as np.abs and as the k-d tree
-        # round it: the tree's verdict alone would be wrong for some of them
+        # margins at each z's own distance, as np.abs and as sqrt(dx^2 + dy^2)
+        # round it, and one ulp above it; 0 is never near and 100, beyond the
+        # box, always near.  Draws level with a sample or straight above one
+        # put it at the edge of the run's real or imaginary window.  Shifted
+        # by 1e12, z.real -+ margin rounds by up to half an ulp of 1e12, 6e-5.
         rng = np.random.default_rng(3)
-        curves = rng.normal(size=50) + 1j * rng.normal(size=50)
-        zs = rng.normal(size=200) + 1j * rng.normal(size=200)
-        exact = np.array([np.min(np.abs(curves - z)) for z in zs])
-        tree = np.array([np.min(np.sqrt((curves.real - z.real) ** 2 + (curves.imag - z.imag) ** 2)) for z in zs])
-        margins = np.concatenate([exact[exact != tree], tree[exact != tree]])
-        assert len(margins) >= 20
-        tree = cKDTree(np.column_stack([curves.real, curves.imag]))
-        for margin in margins:
-            assert experiments._near_curves(curves, tree, zs, margin).tolist() == (exact < margin).tolist()
+        for shift in (0.0, 1e12):
+            curves = np.sort(rng.normal(size=50) + 1j * rng.normal(size=50) + shift)
+            zs = np.concatenate(
+                [
+                    rng.normal(size=200) + 1j * rng.normal(size=200) + shift,
+                    curves[:25] + rng.normal(size=25) / 10,
+                    curves[25:] + 1j * rng.normal(size=25) / 10,
+                ]
+            )
+            exact = np.array([np.min(np.abs(curves - z)) for z in zs])
+            root = np.array([np.min(np.sqrt((curves.real - z.real) ** 2 + (curves.imag - z.imag) ** 2)) for z in zs])
+            assert shift or np.sum(exact != root) >= 10
+            margins = np.concatenate([[0.0, 100.0], exact, np.nextafter(exact, np.inf), root[exact != root]])
+            for margin in margins:
+                assert experiments._near_curves(curves, zs, margin).tolist() == (exact < margin).tolist()
