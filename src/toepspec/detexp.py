@@ -109,22 +109,20 @@ def widom_det(symbol: LaurentSymbol, z: complex, n: int) -> LogDet:
     """
     if n < 1:
         raise ShapeError("matrix size must be positive")
-    prof = root_profile(symbol, z)
-    if prof.infinite > 0:
+    roots, leading = root_profile(symbol, z)
+    if np.isinf(roots).any():
         raise BadPointError(
             "degree-deficient point (roots at infinity): the root-product formula degenerates"
         )
-    roots = list(prof.roots)
-    d = len(roots)
-    s_eff = d - symbol.nminus_eff
-    scale = max((abs(r) for r in roots), default=1.0)
     # an exact double root only splits by ~sqrt(machine eps) in the computed
     # roots, so the proximity guard must sit well above that scale
-    for i in range(d):
-        for j in range(i + 1, d):
-            if abs(roots[i] - roots[j]) < 1e-6 * max(scale, 1.0):
-                raise BadPointError(f"near-double root at z = {z}")
-    log_c = cmath.log(prof.leading)
+    gaps = np.abs(roots[:, None] - roots)[np.triu_indices(len(roots), 1)]
+    if (gaps < 1e-6 * np.abs(roots).max(initial=1.0)).any():
+        raise BadPointError(f"near-double root at z = {z}")
+    roots = roots.tolist()
+    d = len(roots)
+    s_eff = d - symbol.nminus_eff
+    log_c = cmath.log(leading)
     log_roots = [cmath.log(r) if r != 0 else None for r in roots]
     term_logs: list[complex] = []
     for subset in itertools.combinations(range(d), s_eff):

@@ -39,7 +39,7 @@ from .symbol import (
     classify_region,
     curve_samples,
     parse_symbol,
-    root_profiles,
+    root_profile,
     winding_number,
 )
 
@@ -47,9 +47,9 @@ _PROBE_STREAM = 0x70726F62  # distinct seed stream for probe-point placement
 _REGION_MAX_DRAWS = 60000  # draws before region probing gives up
 _DISCOVERY_FLOOR = 5000  # region probing samples this long so thin regions can show up
 _SUPPORT_MAX_DRAWS = 20000  # draws before off-support probing gives up
-# probe draws per block, each block's root profiles one stacked solve.  A divisor
-# of _DISCOVERY_FLOOR, so region probing that stops at the floor profiles no
-# spare draw; 1000 runs no faster and holds 1.2-2 MB more traced peak memory
+# probe draws per block, each block's roots one stacked solve.  A divisor of
+# _DISCOVERY_FLOOR, so region probing that stops at the floor solves no spare
+# draw; 1000 runs no faster and holds 1.2-2 MB more traced peak memory
 _PROBE_BLOCK = 250
 
 
@@ -327,12 +327,12 @@ def _probe_points_regions(
     curves = np.sort(np.concatenate([curve_samples(sym, 720, rad) for rad in radii]))  # real part first
 
     def draws():
-        """Each draw with its root profile, or None within margin of a curve."""
+        """Each draw with its row of root moduli, or None within margin of a curve."""
         for zs in blocks:
             near = _near_curves(curves, zs, margin)
-            profs = iter(root_profiles(sym, zs[~near]))
+            rows = iter(np.abs(root_profile(sym, zs[~near])[0]).tolist())
             for z, too_near in zip(zs.tolist(), near.tolist()):
-                yield z, None if too_near else next(profs)
+                yield z, None if too_near else next(rows)
 
     buckets: dict[str, list[complex]] = {}
     pending = draws()
@@ -343,11 +343,11 @@ def _probe_points_regions(
             and all(len(b) >= count for b in buckets.values())
         ):
             break
-        z, prof = next(pending)  # after the stop test: a stop at a block's end solves no further block
-        if prof is None:
+        z, mods = next(pending)  # after the stop test: a stop at a block's end solves no further block
+        if mods is None:
             continue
         try:
-            key = classify_region(sym, z, r, prof)
+            key = classify_region(sym, z, r, mods)
         except (BoundaryError, OnCurveError):
             continue
         bucket = buckets.setdefault(key, [])
@@ -363,13 +363,13 @@ def _probe_points_off_support(sym: LaurentSymbol, count: int, gap_margin: float,
     matrices, where their limit log-potential is defined.
     """
     out: list[complex] = []
-    draws = (z for zs in _probe_blocks(sym, (1.0,), 1.0, seed, _SUPPORT_MAX_DRAWS) for z in zs.tolist())
-    for z in draws:
-        if len(out) >= count:
+    for zs in _probe_blocks(sym, (1.0,), 1.0, seed, _SUPPORT_MAX_DRAWS):
+        hi, lo = measures.split_root_moduli(sym, zs)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the ratio is not read where hi is 0 or inf
+            fat = np.isinf(hi) | ((hi > 0) & ((hi - lo) / hi >= gap_margin))
+        out += zs[fat][: count - len(out)].tolist()
+        if len(out) == count:
             break
-        hi, lo = measures.split_root_moduli(sym, z)
-        if math.isinf(hi) or (hi > 0 and (hi - lo) / hi >= gap_margin):
-            out.append(z)
     if len(out) < count:
         raise ConfigError("could not place enough probe points off the support set")
     return out
@@ -401,17 +401,6 @@ def _write_eigs_artifacts(ens: TrialEnsemble, out_dir: Path) -> list[str]:
     svg_path = out_dir / "eigenvalues.svg"
     svgplot.write_scatter(svg_path, eigs, curve_samples(ens.sym, 512), f"{cfg.scenario}: one realization")
     return [str(csv_path), str(csv_path) + ".meta.json", str(svg_path)]
-
-
-def _windings(sym: LaurentSymbol, eigs) -> list[int | None]:
-    """The symbol curve's winding number around each eigenvalue; None on the curve."""
-    out = []
-    for lam, prof in zip(eigs, root_profiles(sym, eigs)):
-        try:
-            out.append(winding_number(sym, complex(lam), prof))
-        except OnCurveError:
-            out.append(None)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +563,7 @@ def _run_no_outlier(ens: TrialEnsemble, params: dict, out_dir):
     eigs = np.concatenate(ens.eigenvalues)
     # the limit operator's spectrum is the curve plus every point of nonzero
     # winding, so only winding-0 eigenvalues lie at a positive distance from it
-    off = eigs[[w == 0 for w in _windings(ens.sym, eigs)]]
+    off = eigs[winding_number(ens.sym, eigs) == 0]
     dists = measures.dist_to_curve(off, ens.sym)
     return {"violations": int(np.sum(dists > eps)), "max_dist": float(np.max(dists, initial=0.0)), "eps": eps}, []
 
@@ -590,7 +579,8 @@ def _run_outlier_count(ens: TrialEnsemble, params: dict, out_dir):
     trial_dicts = []
     for eigs in ens.eigenvalues:
         far = eigs[measures.dist_to_curve(eigs, ens.sym) > margin]
-        trial_dicts.append(Counter(str(w) for w in _windings(ens.sym, far) if w is not None))
+        winds = winding_number(ens.sym, far)
+        trial_dicts.append(Counter(str(int(w)) for w in winds[~np.isnan(winds)]))
     keys = sorted(set().union(*trial_dicts))
     mean_counts = {k: float(np.mean([d.get(k, 0) for d in trial_dicts])) for k in keys}
     return {"mean_counts_by_winding": mean_counts, "margin": margin}, []
@@ -644,9 +634,10 @@ def _localization_rows(band_lo, band_hi, mu1, ens: TrialEnsemble, t: int) -> lis
     dists = measures.dist_to_curve(eigs, ens.sym)
     in_band = [i for i in np.lexsort((eigs.imag, eigs.real)) if band_lo <= dists[i] <= band_hi]
     rows = []
-    for idx, w in zip(in_band, _windings(ens.sym, eigs[in_band])):
-        if not w:  # on the curve (None) or winding 0
+    for idx, w in zip(in_band, winding_number(ens.sym, eigs[in_band]).tolist()):
+        if not w or math.isnan(w):  # winding 0, or on the curve
             continue
+        w = int(w)
         lam = complex(eigs[idx])
         try:
             v = ens.eigenvector(m, lam)

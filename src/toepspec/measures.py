@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, EmptyDataError, NonFiniteError, ShapeError, SizeLimitError
-from .symbol import LaurentSymbol, companion_roots, evaluate, root_profile, root_profiles
+from .symbol import LaurentSymbol, _zeros, companion_roots, evaluate, root_profile
 # unused here, but bench/test_bench.py pins this binding until ROADMAP item 1 lands
 from .symbol import classify_region  # noqa: F401
 
@@ -56,34 +56,28 @@ def limit_logpot(symbol: LaurentSymbol, z, r: float):
     """
     if not 0 <= r <= 1:
         raise DomainError("the radius parameter must lie in [0, 1]")
-    zs = np.asarray(z, dtype=complex)
+    roots, leading = root_profile(symbol, z)
+    mods = np.abs(roots)
     k = symbol.nplus_eff
-    vals = []
-    for prof in root_profiles(symbol, zs):
-        val = math.log(abs(prof.leading))
-        # roots contributing log r: at infinity past k, below r before k, beyond 1/r past k
-        n_r = max(prof.infinite - k, 0)
-        for j, root in enumerate(prof.roots, start=prof.infinite):
-            m = abs(root)
-            if j < k:
-                if m > r:
-                    val += math.log(m)
-                else:
-                    n_r += 1
-            elif r * m > 1:
-                val += math.log(m)
-                n_r += 1
-        if n_r:
-            val = val + n_r * math.log(r) if r > 0 else -math.inf
-        vals.append(val)
-    return np.reshape(vals, zs.shape) if zs.ndim else vals[0]
+    head, tail = mods[..., :k], mods[..., k:]
+    with np.errstate(divide="ignore", invalid="ignore"):  # logs of masked-out moduli; 0 * inf at r = 0
+        beyond = r * tail > 1
+        # log r per root below r before k, and per root beyond 1/r or at infinity past k
+        n_r = (head <= r).sum(axis=-1) + (beyond | np.isinf(tail)).sum(axis=-1)
+        terms = np.where(np.concatenate([head > r, beyond], axis=-1) & np.isfinite(mods), np.log(mods), 0.0)
+        val = np.log(np.abs(leading))
+        for j in range(symbol.band):  # column by column: the roots in order, as a per-point sum adds them
+            val = val + terms[..., j]
+        val = np.where(n_r > 0, val + n_r * (math.log(r) if r > 0 else -math.inf), val)
+    return val if val.ndim else float(val)
 
 
-def split_root_moduli(symbol: LaurentSymbol, z: complex) -> tuple[float, float]:
-    """Moduli of the nplus-th and (nplus+1)-th roots (inf and 0 past the ends)."""
-    mods = root_profile(symbol, z).moduli()
+def split_root_moduli(symbol: LaurentSymbol, z):
+    """Moduli of the nplus-th and (nplus+1)-th roots of q_z (inf and 0 past the ends), at a point or over an array."""
+    mods = np.abs(root_profile(symbol, z)[0])
+    padded = np.pad(mods, [(0, 0)] * (mods.ndim - 1) + [(1, 1)], constant_values=(math.inf, 0.0))
     k = symbol.nplus_eff
-    return (mods[k - 1] if k >= 1 else math.inf), (mods[k] if k < len(mods) else 0.0)
+    return padded[..., k], padded[..., k + 1]
 
 
 def energy_distance(xs, ys) -> float:
@@ -148,7 +142,7 @@ def dist_to_curve(points, symbol: LaurentSymbol) -> np.ndarray:
     t = np.ldexp(0.5, np.frexp(np.abs(cs).max())[1])
     cs = cs / t
     d = max(symbol.kmax - symbol.kmin, -symbol.kmin, symbol.kmax)  # P_z runs from zeta^-d to zeta^d
-    f, a, b = np.zeros((3, 2 * d + 1), dtype=complex)
+    f, a, b = _zeros(3, 2 * d + 1)
     np.add.at(f, ks[None, :] - ks[:, None] + d, (ks[None, :] - ks[:, None]) * cs.conj()[:, None] * cs[None, :])
     a[ks + d] = ks * cs
     b[d - ks] = ks * cs.conj()

@@ -11,13 +11,16 @@ vanish (monomial-type symbols such as a = zeta^{-1}), the missing roots are
 recorded as roots at infinity and counted among the large roots, so one code
 path covers every band shape.  The winding number of the symbol curve a(S^1)
 around z equals (number of roots inside the unit circle) - n_minus.
+
+Root data are arrays: :func:`root_profile` solves q_z at a point or over an
+array, and each count of roots is read off their moduli where it is needed.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .errors import (
     DomainError,
     NonFiniteError,
     OnCurveError,
+    SizeLimitError,
 )
 
 # Half-width of the modulus band around 1 inside which a root is treated as
@@ -155,28 +159,11 @@ def curve_samples(symbol: LaurentSymbol, n: int, radius: float = 1.0) -> np.ndar
     return evaluate(symbol, radius * np.exp(2j * np.pi * np.arange(n) / n))
 
 
-class RootProfile(NamedTuple):
-    """Roots of q_z(zeta) = zeta^{n_minus_eff} (a(zeta) - z), sorted by nonincreasing modulus.
-
-    ``infinite`` counts the roots at infinity created when the top coefficients
-    of q_z vanish; they are included in ``mplus``.  ``leading`` is the
-    coefficient of the actual top nonzero degree.
-    """
-
-    roots: tuple[complex, ...]
-    infinite: int
-    leading: complex
-    mplus: int
-    mminus: int
-    on_circle: int
-
-    @property
-    def total(self) -> int:
-        return self.infinite + len(self.roots)
-
-    def moduli(self) -> list[float]:
-        """Moduli in the sorted order, with math.inf for roots at infinity."""
-        return [math.inf] * self.infinite + [abs(r) for r in self.roots]
+def _zeros(*shape: int) -> np.ndarray:
+    """np.zeros(shape, complex), or SizeLimitError for a shape past numpy's array size limit (a ValueError there)."""
+    if math.prod(shape) > np.iinfo(np.intp).max // 16:
+        raise SizeLimitError(f"{math.prod(shape)} polynomial coefficients exceed numpy's array size limit")
+    return np.zeros(shape, dtype=complex)
 
 
 def companion_roots(coeffs):
@@ -200,94 +187,88 @@ def companion_roots(coeffs):
                 body = coeffs[rows, nzero : deg + 1] / coeffs[rows, deg : deg + 1]
             if not np.isfinite(body).all():
                 raise NonFiniteError("the monic normalization of a polynomial overflows")
-            comp = np.zeros((len(rows), m, m), dtype=complex)
+            comp = _zeros(len(rows), m, m)
             comp[:, 1:, :-1] = np.eye(m - 1)
             comp[:, :, -1] = -body[:, :-1]
             roots[:, nzero:] = np.linalg.eigvals(comp)
         yield rows, roots
 
 
-def root_profiles(symbol: LaurentSymbol, zs) -> list[RootProfile]:
-    """Root data of zeta^{n_minus_eff} (a(zeta) - z) at every z of zs, with the roots-at-infinity convention.
+def root_profile(symbol: LaurentSymbol, z):
+    """Roots and leading coefficient of q_z(zeta) = zeta^{n_minus_eff} (a(zeta) - z), at a point or over an array.
 
-    The roots come from :func:`companion_roots`, one stacked eigensolve per
-    group of points; top zero coefficients of q_z become roots at infinity.
+    Returns ``(roots, leading)``: ``symbol.band`` roots per point, sorted by
+    nonincreasing modulus (angle as tie break), with one root at infinity,
+    stored as inf, per vanished top coefficient of q_z; and the coefficient of
+    q_z's top nonzero degree.  One stacked eigensolve per group of points
+    (:func:`companion_roots`); no row of q_z is all zero, as no symbol is constant.
     """
-    zs = np.asarray(zs, dtype=complex).ravel()
-    nm, target = symbol.nminus_eff, symbol.band
-    base = np.zeros(target + 1, dtype=complex)
+    zs = np.asarray(z, dtype=complex)
+    nm, band = symbol.nminus_eff, symbol.band
+    coeffs = _zeros(zs.size, band + 1)
     for k, c in symbol.coeffs.items():
-        base[k + nm] += c
-    coeffs = base[None, :].repeat(len(zs), axis=0)
-    coeffs[:, nm] -= zs
-    if not (coeffs != 0).any(axis=1).all():
-        raise DegenerateInputError("shifted symbol polynomial is identically zero")
-    out: list[RootProfile | None] = [None] * len(zs)
-    for rows, roots in companion_roots(coeffs):
-        deg = roots.shape[1]
-        # deterministic nonincreasing-modulus order, angle as tie break
-        order = np.lexsort((np.angle(roots), -np.abs(roots)), axis=-1)
-        roots = roots[np.arange(len(rows))[:, None], order]
-        mods = np.abs(roots)
-        infinite = target - deg
-        for row, rts, leading, on_circle, mplus, mminus in zip(
-            rows.tolist(),
-            roots.tolist(),
-            coeffs[rows, deg].tolist(),
-            (np.abs(mods - 1.0) < ON_CIRCLE_TOL).sum(axis=-1).tolist(),
-            (mods >= 1.0 + ON_CIRCLE_TOL).sum(axis=-1).tolist(),
-            (mods <= 1.0 - ON_CIRCLE_TOL).sum(axis=-1).tolist(),
-        ):
-            out[row] = RootProfile(tuple(rts), infinite, leading, infinite + mplus, mminus, on_circle)
-    return out
+        coeffs[:, k + nm] += c
+    coeffs[:, nm] -= zs.ravel()
+    roots = np.full((zs.size, band), np.inf, dtype=complex)
+    leading = np.empty(zs.size, dtype=complex)
+    for rows, rts in companion_roots(coeffs):
+        deg = rts.shape[1]
+        order = np.lexsort((np.angle(rts), -np.abs(rts)), axis=-1)
+        roots[rows, band - deg :] = np.take_along_axis(rts, order, axis=-1)
+        leading[rows] = coeffs[rows, deg]
+    # [()] turns the 0-d leading of a point into a scalar and leaves an array as it is
+    return roots.reshape(zs.shape + (band,)), leading.reshape(zs.shape)[()]
 
 
-def root_profile(symbol: LaurentSymbol, z: complex) -> RootProfile:
-    """Root data of zeta^{n_minus_eff} (a(zeta) - z): the one-point case of :func:`root_profiles`."""
-    return root_profiles(symbol, [z])[0]
+def winding_number(symbol: LaurentSymbol, z):
+    """Winding number of the symbol curve around z, a point or an array, via root counting.
 
-
-def winding_number(symbol: LaurentSymbol, z: complex, prof: RootProfile | None = None) -> int:
-    """Winding number of the symbol curve around z, via root counting.
-
-    Equals m_-(z) - n_minus_eff.  Points on the curve (a root of modulus 1
-    within tolerance) are rejected.  ``prof``, when given, is
-    ``root_profile(symbol, z)`` computed beforehand (see :func:`root_profiles`).
+    Equals m_-(z) - n_minus_eff, with m_-(z) the roots of q_z inside the
+    unit circle.  A point on the curve (a root of modulus 1 within
+    tolerance) raises :class:`OnCurveError`; over an array the winding
+    numbers come as floats, NaN at the points on the curve.
     """
-    if prof is None:
-        prof = root_profile(symbol, z)
-    if prof.on_circle:
+    mods = np.abs(root_profile(symbol, z)[0])
+    on_curve = (np.abs(mods - 1.0) < ON_CIRCLE_TOL).any(axis=-1)
+    wind = (mods <= 1.0 - ON_CIRCLE_TOL).sum(axis=-1) - symbol.nminus_eff
+    if np.ndim(z):
+        return np.where(on_curve, np.nan, wind)
+    if on_curve:
         raise OnCurveError(f"z = {z} lies on the symbol curve within tolerance")
-    return prof.mminus - symbol.nminus_eff
+    return int(wind)
 
 
-def classify_region(symbol: LaurentSymbol, z: complex, r: float, prof: RootProfile | None = None) -> str:
-    """The region of z in the decomposition used by the exponential-noise limit law.
+def classify_region(symbol: LaurentSymbol, z: complex, r: float, mods: list[float] | None = None) -> str:
+    """The region of the point z in the decomposition used by the exponential-noise limit law.
 
     Returns ``"S0"`` for winding number 0, else ``"S{d},{ell}"`` for winding
     number d != 0, with ell counting how many roots straddle the radius-r
     circle (d > 0) or the radius-1/r circle (d < 0).  Points whose root
     moduli sit on that separating circle raise :class:`BoundaryError`;
-    points on the symbol curve itself raise :class:`OnCurveError`.  ``prof``
-    is as in :func:`winding_number`.
+    points on the symbol curve itself raise :class:`OnCurveError`.
+    ``mods``, when given, is z's row of root moduli computed beforehand, as
+    a list: ``np.abs(root_profile(symbol, zs)[0]).tolist()`` has one per
+    point of zs.
     """
     if not 0 < r < 1:
         raise ConfigError("the radius parameter must lie in (0, 1)")
-    if prof is None:
-        prof = root_profile(symbol, z)
-    if prof.on_circle:
-        raise OnCurveError(f"z = {z} lies on the symbol curve within tolerance")
-    d = prof.mminus - symbol.nminus_eff
+    if mods is None:
+        mods = np.abs(root_profile(symbol, z)[0]).tolist()
+    d = -symbol.nminus_eff
+    for m in mods:  # one pass: plain loops beat generators on a row of a few roots
+        if abs(m - 1.0) < ON_CIRCLE_TOL:
+            raise OnCurveError(f"z = {z} lies on the symbol curve within tolerance")
+        d += m <= 1.0 - ON_CIRCLE_TOL
     if d == 0:
         return "S0"
-    mods = prof.moduli()
+    # a root at infinity is never within tolerance of a finite circle
     if d > 0:
-        if any(abs(m - r) <= _BOUNDARY_TOL for m in mods if math.isfinite(m)):
+        if any(abs(m - r) <= _BOUNDARY_TOL for m in mods):
             raise BoundaryError(f"z = {z} has a root modulus on the radius-{r} circle")
         ell = sum(1 for m in mods if r < m <= 1.0 - ON_CIRCLE_TOL)
     else:
         rinv = 1.0 / r
-        if any(abs(m - rinv) <= _BOUNDARY_TOL * rinv for m in mods if math.isfinite(m)):
+        if any(abs(m - rinv) <= _BOUNDARY_TOL * rinv for m in mods):
             raise BoundaryError(f"z = {z} has a root modulus on the radius-{rinv} circle")
         ell = sum(1 for m in mods if m > rinv)
     return f"S{d},{ell}"

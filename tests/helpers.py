@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -12,7 +13,14 @@ import numpy as np
 from toepspec import experiments, matrixgen, measures
 from toepspec.errors import BoundaryError, ConfigError, DomainError, OnCurveError, ShapeError
 from toepspec.pseudospec import GridSpec, ScalarField
-from toepspec.symbol import LaurentSymbol, classify_region, curve_samples, root_profile, winding_number
+from toepspec.symbol import (
+    ON_CIRCLE_TOL,
+    LaurentSymbol,
+    classify_region,
+    curve_samples,
+    root_profile,
+    winding_number,
+)
 
 
 def jordan(n: int) -> np.ndarray:
@@ -86,10 +94,9 @@ def near_bad_set(symbol: LaurentSymbol, z: complex, tol: float) -> BadSetFlags:
     coincident).  equal_modulus_ratio: two distinct roots whose modulus ratio
     is within tol of 1.  is_a0: z within tol of the constant coefficient a_0.
     """
-    prof = root_profile(symbol, z)
-    roots = prof.roots
-    double = prof.infinite >= 2
-    equal_mod = prof.infinite >= 2
+    all_roots = root_profile(symbol, z)[0].tolist()
+    roots = [x for x in all_roots if not cmath.isinf(x)]
+    double = equal_mod = len(all_roots) - len(roots) >= 2
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             if abs(roots[i] - roots[j]) < tol:
@@ -112,6 +119,42 @@ def circle_quadrature_logpot(symbol: LaurentSymbol, z: complex, n: int = 4096, r
     if np.min(vals) == 0:
         raise OnCurveError(f"z = {z} hit the quadrature curve")
     return float(np.mean(np.log(vals)))
+
+
+def limit_logpot_per_root(symbol: LaurentSymbol, z: complex, r: float) -> float:
+    """The closed-form limit log-potential at one point, root by root in Python floats.
+
+    Reference for the array form of :func:`toepspec.measures.limit_logpot`:
+    log|leading| + sum_{j<k} log max(|zeta_j|, r) + sum_{j>=k} log max(r |zeta_j|, 1),
+    with k = nplus_eff, a root at infinity before k paired off against the
+    vanished top coefficient and one past k contributing log r.
+    """
+    roots, leading = root_profile(symbol, z)
+    k = symbol.nplus_eff
+    val = math.log(abs(leading))
+    n_r = 0  # roots contributing log r
+    for j, root in enumerate(roots.tolist()):
+        m = abs(root)
+        if math.isinf(m):
+            n_r += j >= k
+        elif j < k:
+            if m > r:
+                val += math.log(m)
+            else:
+                n_r += 1
+        elif r * m > 1:
+            val += math.log(m)
+            n_r += 1
+    if n_r:
+        val = val + n_r * math.log(r) if r > 0 else -math.inf
+    return val
+
+
+def split_root_moduli_per_root(symbol: LaurentSymbol, z: complex) -> tuple[float, float]:
+    """Moduli of the nplus-th and (nplus+1)-th roots at one point (inf and 0 past the ends), from a list."""
+    mods = [abs(x) for x in root_profile(symbol, z)[0].tolist()]
+    k = symbol.nplus_eff
+    return (mods[k - 1] if k >= 1 else math.inf), (mods[k] if k < len(mods) else 0.0)
 
 
 def read_sample_csv(path) -> tuple[np.ndarray, dict]:
@@ -197,8 +240,8 @@ def sample_widom_checkable(rng, max_n: int = 40, max_band: int = 4):
             continue
         if near_bad_set(sym, z, 1e-3).any():
             continue
-        prof = root_profile(sym, z)
-        if prof.on_circle or prof.infinite:
+        mods = np.abs(root_profile(sym, z)[0])
+        if np.isinf(mods).any() or (np.abs(mods - 1) < ON_CIRCLE_TOL).any():
             continue
         if winding_number(sym, z) != 0:
             continue

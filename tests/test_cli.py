@@ -186,6 +186,7 @@ _TWO_SIDED = {
     "seed": 1,
     "params": {},
 }
+_HUGE_INDEX = "-1:1;1000000000000000000:1"
 _GRID_NO_NY = {"re_min": -1, "re_max": 1, "im_min": -1, "im_max": 1, "nx": 5}
 _GRID = {**_GRID_NO_NY, "ny": 4}
 
@@ -236,6 +237,11 @@ def _params(scenario, **params):
         ({"scenario": "grushin", "pert": {"kind": "poly", "gamma": -700}}, 2, "coupling for kind='poly' overflows"),
         ({"scenario": "lsd_subexp", "n": 1e20, "pert": {"kind": "poly", "gamma": 2}}, 1, "array size limit"),
         ({"scenario": "pairing", "n": 1e20, "pert": {"kind": "poly", "gamma": 1}}, 1, "array size limit"),
+        # a symbol index past numpy's array size limit: the root and distance kernels refuse it
+        ({"scenario": "no_outlier", "symbol": _HUGE_INDEX, "n": 20, "pert": {"kind": "poly", "gamma": 2}}, 1,
+         "array size limit"),
+        ({"scenario": "lsd_superexp", "symbol": _HUGE_INDEX, "n": 20, "pert": {"kind": "superexp", "c": 1}}, 1,
+         "array size limit"),
     ],
     ids=[
         "string_int_param",
@@ -277,6 +283,8 @@ def _params(scenario, **params):
         "overflowing_grushin_coupling",
         "n_beyond_array_limit",
         "pairing_n_beyond_array_limit",
+        "no_outlier_symbol_index_beyond_array_limit",
+        "lsd_superexp_symbol_index_beyond_array_limit",
     ],
 )
 def test_malformed_config_ends_in_one_line(tmp_path, capsys, patch, code, needle):

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import circle_quadrature_logpot, random_symbol, read_sample_csv
-from toepspec.errors import DomainError, ShapeError
+from helpers import (
+    circle_quadrature_logpot,
+    limit_logpot_per_root,
+    random_symbol,
+    read_sample_csv,
+    split_root_moduli_per_root,
+)
+from toepspec.errors import DomainError, ShapeError, SizeLimitError
 from toepspec.measures import (
     dist_to_curve,
     empirical_logpot,
@@ -14,7 +20,7 @@ from toepspec.measures import (
     split_root_moduli,
     write_sample_csv,
 )
-from toepspec.symbol import curve_samples, evaluate, parse_symbol
+from toepspec.symbol import curve_samples, evaluate, parse_symbol, root_profile
 
 JORDAN = parse_symbol("-1:1")
 TRIDIAG = parse_symbol("-1:1;1:1")
@@ -159,9 +165,9 @@ class TestLimitExp:
         z = 0.8 + 0.05j
         from toepspec.symbol import root_profile
 
-        prof = root_profile(sym, z)
+        roots, _ = root_profile(sym, z)
         assert limit_logpot(sym, z, 0.5) == pytest.approx(
-            math.log(abs(prof.roots[0])), rel=1e-9
+            math.log(abs(roots[0])), rel=1e-9
         )
 
     def test_negative_winding_deep_interior(self):
@@ -170,10 +176,10 @@ class TestLimitExp:
         z = 0.0 + 0.1j
         from toepspec.symbol import root_profile
 
-        prof = root_profile(sym, z)
+        roots, _ = root_profile(sym, z)
         expect = (
-            math.log(abs(prof.roots[0]))
-            + math.log(abs(prof.roots[1]))
+            math.log(abs(roots[0]))
+            + math.log(abs(roots[1]))
             + math.log(0.5)
         )
         assert limit_logpot(sym, z, 0.5) == pytest.approx(expect, rel=1e-9)
@@ -216,8 +222,8 @@ class TestLimitUnperturbed:
         from toepspec.symbol import root_profile
 
         z = 3.0 + 0.5j
-        prof = root_profile(TRIDIAG, z)
-        hi, lo = abs(prof.roots[0]), abs(prof.roots[1])
+        roots, _ = root_profile(TRIDIAG, z)
+        hi, lo = abs(roots[0]), abs(roots[1])
         base = limit_logpot(TRIDIAG, z, 0.0)
         for frac in (0.25, 0.75):
             rho = lo * (hi / lo) ** frac
@@ -256,6 +262,32 @@ class TestLimitUnperturbed:
             quad = circle_quadrature_logpot(sym, z, 1 << 18, radius=rho)
             assert limit_logpot(sym, z, 0.0) == pytest.approx(quad, abs=1e-12)
             checked += 1
+
+
+class TestArrayAgainstPerRoot:
+    """The array log-potential and split moduli against root-by-root references on one-point rows."""
+
+    @pytest.mark.parametrize("r", [0.0, 0.3, 1.0])
+    def test_random_symbols(self, r):
+        def close(a, b):
+            return a == b or abs(a - b) <= 1e-13
+
+        rng = np.random.default_rng(80)
+        # z = a_0 of a symbol with kmax <= 0 zeroes q_z's top coefficient: a root at infinity
+        cases = [(parse_symbol(text), np.array([0j, 0.5 + 0.5j, 2.0])) for text in ("-1:1", "-2:1;-1:0.5")]
+        for _ in range(30):
+            sym = random_symbol(rng)
+            zs = rng.uniform(-3, 3, 10) + 1j * rng.uniform(-3, 3, 10)
+            cases.append((sym, np.append(zs, sym.coeffs.get(0, 0j))))
+        at_infinity = 0
+        for sym, zs in cases:
+            got = limit_logpot(sym, zs, r)
+            hi, lo = split_root_moduli(sym, zs)
+            for z, val, pair in zip(zs.tolist(), got.tolist(), zip(hi.tolist(), lo.tolist())):
+                assert close(val, limit_logpot_per_root(sym, z, r)), (sym, z)
+                assert all(map(close, pair, split_root_moduli_per_root(sym, z))), (sym, z)
+            at_infinity += int(np.isinf(root_profile(sym, zs)[0]).any(axis=-1).sum())
+        assert at_infinity >= 4
 
 
 class TestPushforward:
@@ -398,6 +430,11 @@ class TestDistToCurve:
         # coefficients overflow; atol is rounding at the curve's scale
         d = dist_to_curve([0.0, 1e308j], parse_symbol("-1:1e308;1:1e308"))
         np.testing.assert_allclose(d, [0.0, 1e308], rtol=1e-15, atol=1e293)
+
+    def test_band_past_numpys_size_limit_is_refused(self):
+        # P_z would need 2 * 10^18 + 1 coefficients per point
+        with pytest.raises(SizeLimitError, match="array size limit"):
+            dist_to_curve([0.5], parse_symbol("-1:1;1000000000000000000:1"))
 
     def test_non_finite_points_are_infinitely_far(self):
         d = dist_to_curve([np.nan, np.inf, complex(1, np.inf), 2.0], JORDAN)

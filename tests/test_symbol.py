@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from toepspec.errors import (
     OnCurveError,
 )
 from toepspec.symbol import (
+    ON_CIRCLE_TOL,
     LaurentSymbol,
     classify_region,
     curve_samples,
@@ -20,7 +22,6 @@ from toepspec.symbol import (
     format_symbol,
     parse_symbol,
     root_profile,
-    root_profiles,
     winding_number,
 )
 
@@ -93,49 +94,59 @@ class TestCurveSamples:
         np.testing.assert_allclose(curve_samples(TRIDIAG, 2), [2, -2], atol=1e-14)
 
 
+def _counts(roots):
+    """(outside, inside, on) the unit circle: roots at infinity count as outside."""
+    mods = np.abs(roots)
+    return (
+        int((mods >= 1 + ON_CIRCLE_TOL).sum()),
+        int((mods <= 1 - ON_CIRCLE_TOL).sum()),
+        int((np.abs(mods - 1) < ON_CIRCLE_TOL).sum()),
+    )
+
+
 class TestRootProfile:
     def test_jordan_linear_root(self):
-        prof = root_profile(JORDAN, 0.5)
-        assert prof.roots == pytest.approx((2.0,))
-        assert prof.leading == pytest.approx(-0.5)
-        assert (prof.mplus, prof.mminus) == (1, 0)
+        roots, leading = root_profile(JORDAN, 0.5)
+        assert roots.tolist() == pytest.approx([2.0])
+        assert leading == pytest.approx(-0.5)
+        assert _counts(roots) == (1, 0, 0)
 
     def test_tridiagonal_quadratic(self):
         # roots of zeta^2 - 3 zeta + 1, against the quadratic formula
-        prof = root_profile(TRIDIAG, 3)
+        roots, _ = root_profile(TRIDIAG, 3)
         expect = ((3 + math.sqrt(5)) / 2, (3 - math.sqrt(5)) / 2)
-        assert prof.roots == pytest.approx(expect, abs=1e-8)
-        assert (prof.mplus, prof.mminus) == (1, 1)
+        assert roots.tolist() == pytest.approx(expect, abs=1e-8)
+        assert _counts(roots) == (1, 1, 0)
 
     def test_shift_at_zero(self):
-        prof = root_profile(SHIFT, 0)
-        assert prof.roots == pytest.approx((0.0,))
-        assert (prof.mplus, prof.mminus) == (0, 1)
+        roots, _ = root_profile(SHIFT, 0)
+        assert roots.tolist() == pytest.approx([0.0])
+        assert _counts(roots) == (0, 1, 0)
 
     def test_jordan_degenerate_point_goes_to_infinity(self):
-        prof = root_profile(JORDAN, 0)
-        assert prof.infinite == 1
-        assert prof.roots == ()
-        assert prof.mplus == 1
+        roots, leading = root_profile(JORDAN, 0)
+        assert roots.tolist() == [complex(math.inf, 0)]
+        assert leading == 1
+        assert _counts(roots) == (1, 0, 0)
 
     def test_counts_add_up_on_random_symbols(self):
         rng = np.random.default_rng(11)
         for _ in range(60):
             sym = random_symbol(rng, max_band=5)
             z = complex(rng.normal(), rng.normal()) * 2
-            prof = root_profile(sym, z)
-            assert prof.mplus + prof.mminus + prof.on_circle == prof.total
-            assert prof.total == sym.band
+            roots, _ = root_profile(sym, z)
+            assert roots.shape == (sym.band,)
+            assert sum(_counts(roots)) == sym.band
 
     def test_root_residuals(self):
         rng = np.random.default_rng(12)
         for _ in range(40):
             sym = random_symbol(rng, max_band=5)
             z = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            prof = root_profile(sym, z)
+            roots, _ = root_profile(sym, z)
             scale = max(abs(c) for c in sym.coeffs.values()) + abs(z)
-            for root in prof.roots:
-                if root == 0:
+            for root in roots.tolist():
+                if root == 0 or cmath.isinf(root):
                     continue
                 val = (evaluate(sym, root) - z) * root**sym.nminus_eff
                 mag = max(abs(root) ** k for k in range(sym.band + 1))
@@ -145,13 +156,21 @@ class TestRootProfile:
         rng = np.random.default_rng(13)
         for _ in range(30):
             sym = random_symbol(rng)
-            prof = root_profile(sym, complex(rng.normal(), rng.normal()))
-            mods = [abs(r) for r in prof.roots]
+            mods = np.abs(root_profile(sym, complex(rng.normal(), rng.normal()))[0]).tolist()
             assert all(a >= b - 1e-12 for a, b in zip(mods, mods[1:]))
 
 
 class TestRootProfiles:
-    """The stacked kernel row by row against its one-point case."""
+    """The array form row by row against its one-point case."""
+
+    @staticmethod
+    def _rows_match(sym, zs):
+        roots, leading = root_profile(sym, np.array(zs))
+        assert roots.shape == (len(zs), sym.band) and leading.shape == (len(zs),)
+        for z, row, lead in zip(zs, roots, leading.tolist()):
+            one_roots, one_lead = root_profile(sym, z)
+            assert row.tolist() == one_roots.tolist() and lead == one_lead
+        return roots
 
     def test_random_symbols(self):
         rng = np.random.default_rng(14)
@@ -159,26 +178,30 @@ class TestRootProfiles:
             sym = random_symbol(rng, max_band=5)
             # a0 and 0 drop the degree or strip a root at 0 for some shapes
             zs = [complex(rng.normal(), rng.normal()) * 2 for _ in range(6)] + [sym.coeffs.get(0, 0j), 0j]
-            assert root_profiles(sym, zs) == [root_profile(sym, z) for z in zs]
+            self._rows_match(sym, zs)
 
     def test_degree_changing_rows_in_one_call(self):
         for sym, special in ((JORDAN, 0j), (parse_symbol("0:1;1:1"), 1 + 0j)):
-            zs = [0.3 + 0.2j, special, 2.0 + 0j, special, -1j]
-            profs = root_profiles(sym, zs)
-            assert profs == [root_profile(sym, z) for z in zs]
-            assert profs[1] == profs[3]
-        jordan_at_0 = root_profiles(JORDAN, [0.5, 0])[1]
-        assert (jordan_at_0.infinite, jordan_at_0.roots) == (1, ())
-        stripped = root_profiles(parse_symbol("0:1;1:1"), [2, 1])[1]
-        assert (stripped.infinite, stripped.roots, stripped.mminus) == (0, (0j,), 1)
+            roots = self._rows_match(sym, [0.3 + 0.2j, special, 2.0 + 0j, special, -1j])
+            assert roots[1].tolist() == roots[3].tolist()
+        assert root_profile(JORDAN, [0.5, 0])[0][1].tolist() == [complex(math.inf, 0)]
+        stripped = root_profile(parse_symbol("0:1;1:1"), [2, 1])[0][1]
+        assert stripped.tolist() == [0j] and _counts(stripped) == (0, 1, 0)
 
     def test_empty_input(self):
-        assert root_profiles(TRIDIAG, []) == []
+        roots, leading = root_profile(TRIDIAG, [])
+        assert roots.shape == (0, 2) and leading.shape == (0,)
+
+    def test_two_dimensional_input(self):
+        zs = np.array([[3.0, 0.5j], [-3.0, 1 + 1j]])
+        roots, leading = root_profile(TRIDIAG, zs)
+        assert roots.shape == (2, 2, 2) and leading.shape == (2, 2)
+        assert roots.reshape(4, 2).tolist() == root_profile(TRIDIAG, zs.ravel())[0].tolist()
 
     def test_root_beyond_float_range_raises(self):
         # q_z = 1e308 - z zeta has its root at 1e308 / z
         with pytest.raises(NonFiniteError, match="overflows"):
-            root_profiles(parse_symbol("-1:1e308"), [0.5, 1e-10])
+            root_profile(parse_symbol("-1:1e308"), [0.5, 1e-10])
 
 
 class TestWinding:
@@ -200,14 +223,31 @@ class TestWinding:
         checked = 0
         while checked < 40:
             sym = random_symbol(rng)
-            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            zs = rng.uniform(-3, 3, 5) + 1j * rng.uniform(-3, 3, 5)
+            winds = winding_number(sym, zs)
+            for z, w in zip(zs.tolist(), winds.tolist()):
+                try:
+                    w_roots = winding_number(sym, z)
+                    w_phase = winding_number_quadrature(sym, z)
+                except OnCurveError:
+                    continue
+                assert w_roots == w_phase == w
+                checked += 1
+
+    def test_array_marks_points_on_the_curve(self):
+        zs = np.array([0.0, 1.0, 2.0, -1.0, 0.5j, 1j])
+        winds = winding_number(SHIFT, zs)
+        assert winds.shape == zs.shape
+        for z, w in zip(zs.tolist(), winds.tolist()):
             try:
-                w_roots = winding_number(sym, z)
-                w_phase = winding_number_quadrature(sym, z)
+                assert winding_number(SHIFT, z) == w
             except OnCurveError:
-                continue
-            assert w_roots == w_phase
-            checked += 1
+                assert math.isnan(w)
+        assert np.isnan(winds).tolist() == [False, True, False, True, False, True]
+
+    def test_empty_array(self):
+        winds = winding_number(TRIDIAG, np.array([], dtype=complex))
+        assert winds.shape == (0,)
 
 
 class TestClassify:
@@ -242,11 +282,12 @@ class TestClassify:
         res = np.linspace(-2.6, 2.6, n)
         ims = np.linspace(-2.6, 2.6, n)
         labels = {}
-        profs = iter(root_profiles(sym, [complex(x, y) for y in ims for x in res]))
+        zs = np.array([complex(x, y) for y in ims for x in res])
+        rows = iter(np.abs(root_profile(sym, zs)[0]).tolist())
         for j, y in enumerate(ims):
             for i, x in enumerate(res):
                 try:
-                    labels[(i, j)] = classify_region(sym, complex(x, y), r, next(profs))
+                    labels[(i, j)] = classify_region(sym, complex(x, y), r, next(rows))
                 except (BoundaryError, OnCurveError):
                     labels[(i, j)] = None
         assert sum(1 for v in labels.values() if v is None) < n * n // 100
@@ -255,8 +296,7 @@ class TestClassify:
         def far_from_structure(z):
             if min(float(np.min(np.abs(c - z))) for c in curves) < 0.12:
                 return False
-            prof = root_profile(sym, z)
-            mods = [abs(x) for x in prof.roots]
+            mods = np.abs(root_profile(sym, z)[0]).tolist()
             return all(
                 abs(m - b) > 0.08 for m in mods for b in (r, 1.0 / r)
             )
