@@ -32,12 +32,6 @@ def _subset_sign(subset: tuple[int, ...]) -> int:
     return -1 if sum(x - i for i, x in enumerate(subset)) % 2 else 1
 
 
-def _batched_det(mats: np.ndarray) -> np.ndarray:
-    if mats.shape[-1] == 0:
-        return np.ones(mats.shape[:-2], dtype=complex)
-    return np.linalg.det(mats)
-
-
 def _signed_minor_sum(a: np.ndarray, b: np.ndarray, k: int) -> complex:
     """sum over |X| = |Y| = k of sgn(X) sgn(Y) det(a[Xc; Yc]) det(b[X; Y])."""
     n = a.shape[0]
@@ -56,8 +50,8 @@ def _signed_minor_sum(a: np.ndarray, b: np.ndarray, k: int) -> complex:
         stop = min(ns, start + chunk)
         rows_c = comp[start:stop]
         rows_s = sub[start:stop]
-        det_a = _batched_det(a[rows_c[:, None, :, None], comp[None, :, None, :]])
-        det_b = _batched_det(b[rows_s[:, None, :, None], sub[None, :, None, :]])
+        det_a = np.linalg.det(a[rows_c[:, None, :, None], comp[None, :, None, :]])
+        det_b = np.linalg.det(b[rows_s[:, None, :, None], sub[None, :, None, :]])
         weighted = (signs[start:stop, None] * signs[None, :]) * det_a * det_b
         # fixed subset-lexicographic reduction order
         total += complex(np.sum(weighted))

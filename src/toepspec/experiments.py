@@ -683,7 +683,6 @@ def _run_eigvec_bulk(ens: TrialEnsemble, params: dict, out_dir):
     band_hi = params["c_band"] * math.log(n) / n
     band_lo = math.log(n) / (params["c_band"] * n)
     loc_len = params["loc_mult"] * n / math.log(n)
-    linalg.lapack_lu()  # load LAPACK before any fork, or each worker imports scipy.linalg again
     per_trial = ens.map(partial(_localization_rows, band_lo, band_hi, params["supp_mu1"]))
     all_rows = [row for rows in per_trial for row in rows]
     if not all_rows:

@@ -3,15 +3,15 @@
 Determinants are always carried as (log magnitude, unit phase) pairs: the
 determinants met here span thousands of orders of magnitude, so they are
 never exponentiated internally.  Singular values follow the nondecreasing
-convention s_1 <= ... <= s_n.  The heavy factorizations delegate to
-LAPACK through numpy/scipy; the LU kernels call zgetrf/zgetrs directly,
-without scipy's per-call wrapper.  Eigenvalues of a matrix with no
-imaginary part come from the real solver dgeev, all others from zgeev.
-LAPACK, and with it scipy.linalg, loads on the first LU, so a process
-that factors nothing never imports it.  Up to
-SMIN_DIRECT_MAX_N the smallest singular value is the last one of a direct
-SVD; above it, a two-sided inverse iteration with LU reuse, falling back to
-a full SVD when it stagnates.  All kernels are reentrant and deterministic.
+convention s_1 <= ... <= s_n.  The factorizations delegate to LAPACK
+through numpy, except in :func:`smallest_singular`, the one kernel that
+reuses an LU factor for many solves: it calls zgetrf/zgetrs directly,
+without scipy's per-call wrapper, so scipy.linalg loads only with it.
+Eigenvalues of a matrix with no imaginary part come from the real solver
+dgeev, all others from zgeev.  Up to SMIN_DIRECT_MAX_N the smallest
+singular value is the last one of a direct SVD; above it, a two-sided
+inverse iteration with LU reuse, falling back to a full SVD when it
+stagnates.  All kernels are reentrant and deterministic.
 
 Importing this module runs both bundled OpenBLAS copies on one thread: at
 the sizes met here (n = 50-500) extra BLAS threads cost more than they
@@ -63,7 +63,7 @@ _one_blas_thread()
 
 @functools.cache
 def lapack_lu():
-    """(zgetrf, zgetrs), loaded on the first call: scipy.linalg takes most of a bare import's time.
+    """(zgetrf, zgetrs) for :func:`smallest_singular`, loaded on its first call: scipy.linalg takes most of a bare import's time.
 
     Called before a fork, it hands the loaded library to every worker, which would otherwise import it again.
     """
@@ -122,20 +122,9 @@ class LogDet:
 
 
 def lu_logdet(m: np.ndarray) -> LogDet:
-    """Log-determinant from a partial-pivoted LU factorization."""
-    m = _require_square(m)
-    if m.shape[0] == 0:
-        return LogDet(0.0, 1.0 + 0j)
-    lu, piv = _lu_factor(m)
-    diag = np.diag(lu)
-    if np.any(diag == 0):
-        return LogDet(-math.inf, 0j)
-    log_abs = float(np.sum(np.log(np.abs(diag))))
-    phase = complex(np.prod(diag / np.abs(diag)))
-    swaps = int(np.sum(piv != np.arange(len(piv))))
-    if swaps % 2:
-        phase = -phase
-    return LogDet(log_abs, phase)
+    """Log-determinant by np.linalg.slogdet; silently (-inf, 0) if exactly singular, (0, 1) if empty."""
+    phase, log_abs = np.linalg.slogdet(_require_square(m))
+    return LogDet(float(log_abs), complex(phase))
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -188,11 +177,13 @@ def svd(m: np.ndarray, want_vectors: bool = False) -> SVDResult:
 def smallest_singular(m: np.ndarray) -> float:
     """s_min(m) via inverse iteration on (A A*)^{-1} with LU reuse.
 
-    Exactly singular matrices return 0.  Stagnation falls back to the full
-    SVD, so the result always agrees with :func:`svd` up to the iteration
-    tolerance.  So does slow contraction: from the third iterate on, once the
-    observed step ratio d_k / d_{k-1} (d_k = |s_k - s_{k-1}|) cannot bring the
-    step under the tolerance by the last iterate, the SVD is taken at once.
+    s_min is read from the solves, as 1 / sqrt(||w||) for w = (A A*)^{-1} v,
+    so it stays accurate far below eps ||A||.  Exactly singular matrices
+    return 0.  Stagnation falls back to the full SVD, so the result always
+    agrees with :func:`svd` up to the iteration tolerance.  So does slow
+    contraction: from the third iterate on, once the observed step ratio
+    d_k / d_{k-1} (d_k = |s_k - s_{k-1}|) cannot bring the step under the
+    tolerance by the last iterate, the SVD is taken at once.
     """
     m = _require_square(m)
     n = m.shape[0]
@@ -203,7 +194,6 @@ def smallest_singular(m: np.ndarray) -> float:
     lu, piv = _lu_factor(m)
     if np.abs(np.diag(lu)).min() == 0.0:
         return 0.0
-    mh = m.conj().T
     v = _start_vector(_SMIN_KEY, n)
     s_prev = d_prev = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -215,9 +205,9 @@ def smallest_singular(m: np.ndarray) -> float:
                 # the solve overflowed: numerically singular
                 return 0.0
             if nw == 0.0:
+                # the solves underflowed (a matrix of huge norm)
                 return float(svd(m).singular_values[0])
-            f = w / nw
-            s_est = float(np.linalg.norm(mh @ f))
+            s_est = 1.0 / math.sqrt(nw)
             d = abs(s_est - s_prev)
             tol = _SMIN_RTOL * max(s_est, 1e-300)
             if d <= tol:
@@ -226,15 +216,16 @@ def smallest_singular(m: np.ndarray) -> float:
             if k >= 2 and (d >= d_prev or d * (d / d_prev) ** (_SMIN_MAX_ITER - 1 - k) > tol):
                 break
             s_prev, d_prev = s_est, d
-            v = f
+            v = w / nw
     return float(svd(m).singular_values[0])
 
 
 def eigenvector(m: np.ndarray, lam: complex) -> np.ndarray:
     """Unit right eigenvector for a computed eigenvalue, by shifted inverse iteration.
 
-    The residual contract is ||(m - lam I) v|| <= 1e-6 ||m||; stagnation above
-    that raises :class:`ConvergenceError` naming the best residual reached.
+    One np.linalg.solve per step: from a computed eigenvalue the first meets
+    the residual contract ||(m - lam I) v|| <= 1e-6 ||m||; stagnation above
+    it raises :class:`ConvergenceError` naming the best residual reached.
     """
     m = _require_square(m)
     n = m.shape[0]
@@ -245,17 +236,21 @@ def eigenvector(m: np.ndarray, lam: complex) -> np.ndarray:
     if not math.isfinite(scale):
         raise NonFiniteError("the matrix norm overflows")
     shift = complex(lam)
-    lu, piv = _lu_factor(m - shift * np.eye(n))
-    if np.abs(np.diag(lu)).min() == 0.0:
-        # nudge off the exact eigenvalue so the factor is nonsingular
-        shift = shift + 1e-13 * max(scale, 1.0)
-        lu, piv = _lu_factor(m - shift * np.eye(n))
+    shifted = m - shift * np.eye(n)
     v = _start_vector(_EIGVEC_KEY, n)
     tol = 1e-6 * max(scale, 1e-300)
     best_res = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_EIGVEC_MAX_ITER):
-            w = _lu_solve(lu, piv, v)
+            try:
+                w = np.linalg.solve(shifted, v)
+            except np.linalg.LinAlgError:
+                if shift != lam:
+                    break
+                # nudge off the exact eigenvalue so the shifted matrix is nonsingular
+                shift += 1e-13 * max(scale, 1.0)
+                shifted = m - shift * np.eye(n)
+                continue
             nw = np.linalg.norm(w)
             if not np.isfinite(nw) or nw == 0.0:
                 break

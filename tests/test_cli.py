@@ -435,6 +435,22 @@ def test_commands_import_only_the_scipy_submodules_they_use(tmp_path):
             "params": {"probe_count": 4},
         },
         "grushin": {**small, "scenario": "grushin", "trials": 1, "params": {}},
+        # a Jordan band, where eigvec_bulk finds qualifying eigenpairs at n = 30
+        "eigvec_bulk": {
+            **small,
+            "symbol": "-1:1",
+            "pert": {"kind": "poly", "gamma": 2},
+            "scenario": "eigvec_bulk",
+            "trials": 1,
+            "params": {},
+        },
+        "eigvec_outlier": {**small, "scenario": "eigvec_outlier", "trials": 2, "params": {}},
+        "pseudospec_map": {
+            **small,
+            "scenario": "pseudospec_map",
+            "trials": 1,
+            "params": {"grid": {"re_min": -2, "re_max": 2, "im_min": -2, "im_max": 2, "nx": 5, "ny": 5}},
+        },
         "pairing": {**small, "scenario": "pairing", "trials": 1, "params": {}},
     }
     src = str(Path(toepspec.__file__).resolve().parent.parent)
@@ -442,7 +458,9 @@ def test_commands_import_only_the_scipy_submodules_they_use(tmp_path):
     out = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
     steps = json.loads(out.stdout.splitlines()[-1])
     assert steps["list"] == [] and steps["lsd_subexp"] == [] and steps["lsd_exp"] == []
-    assert steps["grushin"] == ["scipy.linalg"]
+    # only the s_min iteration above n = 24 reuses an LU factor through scipy.linalg
+    assert steps["grushin"] == [] and steps["eigvec_bulk"] == [] and steps["eigvec_outlier"] == []
+    assert steps["pseudospec_map"] == ["scipy.linalg"]
     assert "scipy.optimize" in steps["pairing"]
 
 

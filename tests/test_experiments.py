@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import probe_points_off_support_per_draw, probe_points_regions_per_draw, read_sample_csv
-from toepspec import experiments
+from toepspec import _pool, experiments
 from toepspec.errors import ConfigError
 from toepspec.experiments import (
     ExperimentConfig,
@@ -200,6 +200,24 @@ class TestScenarioSmoke:
         report = run(make_config("eigvec_bulk", n=80, trials=1))
         assert report.metrics["qualifying"] > 0
         assert report.passed["localization"]
+
+    def test_eigvec_bulk_eigenvectors_take_one_solve_each(self, monkeypatch):
+        # linalg.eigenvector keeps no LU factor for reuse: from a computed
+        # eigenvalue its first solve meets the residual contract
+        calls = {"eigenvector": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(_pool, "_POOL_MIN_WORK", math.inf)  # every call in this process
+        monkeypatch.setattr(experiments.linalg, "eigenvector", counted("eigenvector", experiments.linalg.eigenvector))
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+        assert run(make_config("eigvec_bulk", n=100, trials=1)).metrics["qualifying"] > 0
+        assert calls["eigenvector"] > 0 and calls["solve"] == calls["eigenvector"]
 
     def test_eigvec_outlier_vacuous_or_found(self):
         report = run(make_config("eigvec_outlier", n=40, trials=3))

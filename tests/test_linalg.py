@@ -225,7 +225,33 @@ class TestSmallestSingular:
 
     def test_near_singular(self):
         m = np.diag([1.0, 1e-13]).astype(complex)
-        assert smallest_singular(m) == pytest.approx(1e-13, rel=1e-6)
+        assert smallest_singular(m) == pytest.approx(1e-13, rel=1e-6, abs=0)
+
+    def test_bidiagonal_jordan_below_the_floor(self):
+        # s_min = 9.0e-21, far below eps ||A||; the plain SVD of a bidiagonal
+        # matrix keeps its relative accuracy there
+        a = toeplitz(parse_symbol("-1:1"), 40) - (0.3 + 0.1j) * np.eye(40)
+        exact = float(np.linalg.svd(a, compute_uv=False)[-1])
+        assert abs(smallest_singular(a) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize(
+        "symbol, n, z",
+        [
+            ("-1:1;-2:0.4", 40, 0.2 + 0.2j),
+            ("1:1;2:0.5", 36, -0.1 + 0.25j),
+            ("-1:1;-3:0.5", 40, 0.1 + 0.4j),
+            ("-1:0.1;2:1", 40, 0.2 + 0.1j),
+        ],
+    )
+    def test_banded_below_the_floor_against_mpmath(self, symbol, n, z):
+        # s_min = 1 / ||A^{-1}||, the inverse taken at 80 digits: true values
+        # 5.6e-24 to 1.8e-13, where the plain SVD is off by up to 1.4e3
+        mpmath = pytest.importorskip("mpmath")
+        a = toeplitz(parse_symbol(symbol), n) - z * np.eye(n)
+        with mpmath.workdps(80):
+            inv = np.array(mpmath.inverse(mpmath.matrix(a.tolist())).tolist(), dtype=complex)
+        exact = 1.0 / float(np.linalg.svd(inv, compute_uv=False)[0])
+        assert abs(smallest_singular(a) - exact) <= 1e-12 * exact
 
 
 class TestSminEarlyExit:
@@ -265,7 +291,7 @@ class TestSminEarlyExit:
 
 
 class TestRawLapackLu:
-    """The LU kernels call zgetrf/zgetrs directly; scipy's wrappers are the reference."""
+    """smallest_singular calls zgetrf/zgetrs directly and eigenvector np.linalg.solve; scipy's wrappers are the reference."""
 
     @staticmethod
     def reference_smin(m):
@@ -277,8 +303,8 @@ class TestRawLapackLu:
         for k in range(linalg._SMIN_MAX_ITER):
             u = sla.lu_solve((lu, piv), v, trans=0, check_finite=False)
             w = sla.lu_solve((lu, piv), u, trans=2, check_finite=False)
-            f = w / np.linalg.norm(w)
-            s_est = float(np.linalg.norm(m.conj().T @ f))
+            nw = np.linalg.norm(w)
+            s_est = 1.0 / math.sqrt(nw)
             d = abs(s_est - s_prev)
             tol = linalg._SMIN_RTOL * max(s_est, 1e-300)
             if d <= tol:
@@ -286,7 +312,7 @@ class TestRawLapackLu:
             if k >= 2 and (d >= d_prev or d * (d / d_prev) ** (linalg._SMIN_MAX_ITER - 1 - k) > tol):
                 break
             s_prev, d_prev = s_est, d
-            v = f
+            v = w / nw
         return float(np.linalg.svd(m, compute_uv=False)[-1])
 
     @staticmethod
@@ -302,15 +328,16 @@ class TestRawLapackLu:
                 return v
         raise AssertionError("reference inverse iteration did not converge")
 
-    @pytest.mark.parametrize("n", [30, 100])
-    def test_lu_logdet_equals_scipy_reference(self, n):
+    @pytest.mark.parametrize("n", [30, 40])
+    def test_lu_logdet_matches_mpmath(self, n):
+        mpmath = pytest.importorskip("mpmath")
         m = random_complex(np.random.default_rng(n), n)
-        lu, piv = sla.lu_factor(m, check_finite=False)
-        diag = np.diag(lu)
-        phase = complex(np.prod(diag / np.abs(diag)))
-        if int(np.sum(piv != np.arange(n))) % 2:
-            phase = -phase
-        assert lu_logdet(m) == LogDet(float(np.sum(np.log(np.abs(diag)))), phase)
+        with mpmath.workdps(30):
+            det = mpmath.det(mpmath.matrix(m.tolist()))
+            log_abs, phase = float(mpmath.log(abs(det))), complex(det / abs(det))
+        ld = lu_logdet(m)
+        assert abs(ld.log_abs - log_abs) <= 1e-13 * abs(log_abs)
+        assert abs(ld.phase - phase) <= 1e-13
 
     @pytest.mark.parametrize("n", [30, 100])
     def test_eigenvector_equals_scipy_reference(self, n):
@@ -370,9 +397,9 @@ _OPENBLAS_THREADS = textwrap.dedent(
     import toepspec.symbol
     import numpy, scipy
 
-    # LAPACK, and with it scipy.linalg, loads on the first LU: after the pin
+    # scipy.linalg loads with the first smallest_singular above n = 24: after the pin
     assert "scipy.linalg" not in sys.modules
-    toepspec.linalg.lu_logdet(numpy.eye(3))
+    toepspec.linalg.smallest_singular(numpy.eye(30))
     assert "scipy.linalg" in sys.modules
 
     def threads(package, libdir, pattern, symbol):
