@@ -8,10 +8,11 @@ through numpy, except in :func:`smallest_singular`, the one kernel that
 reuses an LU factor for many solves: it calls zgetrf/zgetrs directly,
 without scipy's per-call wrapper, so scipy.linalg loads only with it.
 Eigenvalues of a matrix with no imaginary part come from the real solver
-dgeev, all others from zgeev.  Up to SMIN_DIRECT_MAX_N the smallest
-singular value is the last one of a direct SVD; above it, a two-sided
-inverse iteration with LU reuse, falling back to a full SVD when it
-stagnates.  All kernels are reentrant and deterministic.
+dgeev, all others from zgeev.  Up to SMIN_DIRECT_MAX_N, and above it where
+diagonal dominance certifies it (Varah's bound), the smallest singular value
+is the last one of a direct SVD; otherwise a two-sided inverse iteration
+with LU reuse gives it, falling back to a full SVD when it stagnates.  All
+kernels are reentrant and deterministic.
 
 Importing this module runs both bundled OpenBLAS copies on one thread: at
 the sizes met here (n = 50-500) extra BLAS threads cost more than they
@@ -89,7 +90,8 @@ _EIGVEC_KEY = 0x5EEDBEEF
 
 # up to this size smallest_singular (and pseudospec.smin_field) take the
 # direct SVD: it beats factor-plus-iterate, and near-tied smallest singular
-# values (Voronoi boundaries of normal matrices) cannot stall an iteration
+# values (Voronoi boundaries of normal matrices) cannot stall an iteration;
+# above it only a matrix certified by its diagonal dominance does
 SMIN_DIRECT_MAX_N = 24
 _SMIN_MAX_ITER = 50
 _SMIN_RTOL = 1e-10
@@ -183,7 +185,10 @@ def smallest_singular(m: np.ndarray) -> float:
     agrees with :func:`svd` up to the iteration tolerance.  So does slow
     contraction: from the third iterate on, once the observed step ratio
     d_k / d_{k-1} (d_k = |s_k - s_{k-1}|) cannot bring the step under the
-    tolerance by the last iterate, the SVD is taken at once.
+    tolerance by the last iterate, the SVD is taken at once.  The SVD comes
+    first where row and column dominance margins a, b > 0 bound s_min >=
+    sqrt(a b) (Varah 1975) and the SVD's backward error n eps ||m||_F lies
+    within the tolerance of that bound.
     """
     m = _require_square(m)
     n = m.shape[0]
@@ -191,12 +196,19 @@ def smallest_singular(m: np.ndarray) -> float:
         return float(abs(m[0, 0]))
     if n <= SMIN_DIRECT_MAX_N:
         return float(np.linalg.svd(m, compute_uv=False)[-1])
-    lu, piv = _lu_factor(m)
-    if np.abs(np.diag(lu)).min() == 0.0:
-        return 0.0
-    v = _start_vector(_SMIN_KEY, n)
-    s_prev = d_prev = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
+        # Varah's bound s_min >= sqrt(a b), a = min_i (|m_ii| - sum_{j != i} |m_ij|) and b its
+        # column twin; an overflowing sum makes a margin -inf, an overflowing norm fails the test
+        mag = np.abs(m)
+        d = np.diag(mag)
+        a, b = float((d - (mag.sum(axis=1) - d)).min()), float((d - (mag.sum(axis=0) - d)).min())
+        if a > 0 and b > 0 and n * np.finfo(float).eps * np.linalg.norm(m) <= _SMIN_RTOL * math.sqrt(a) * math.sqrt(b):
+            return float(svd(m).singular_values[0])
+        lu, piv = _lu_factor(m)
+        if np.abs(np.diag(lu)).min() == 0.0:
+            return 0.0
+        v = _start_vector(_SMIN_KEY, n)
+        s_prev = d_prev = math.inf
         for k in range(_SMIN_MAX_ITER):
             u = _lu_solve(lu, piv, v, trans=0)
             w = _lu_solve(lu, piv, u, trans=2)

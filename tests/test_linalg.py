@@ -25,6 +25,7 @@ from toepspec.linalg import (
 )
 from toepspec.matrixgen import NoiseSpec, PerturbationSpec, circulant, perturbed, toeplitz
 from toepspec.measures import match_cost
+from toepspec.pseudospec import GridSpec
 from toepspec.symbol import curve_samples, parse_symbol
 
 TRIDIAG = parse_symbol("-1:1;1:1")
@@ -270,17 +271,17 @@ class TestSminEarlyExit:
         monkeypatch.setattr(linalg, "_lu_solve", counted)
         return lambda: len(calls) // 2
 
-    def shifted(self, z):
-        m = perturbed(parse_symbol("-1:1"), self.N, PerturbationSpec("poly", gamma=2.0), NoiseSpec(), 1)
+    def shifted(self, z, symbol="-1:1"):
+        m = perturbed(parse_symbol(symbol), self.N, PerturbationSpec("poly", gamma=2.0), NoiseSpec(), 1)
         return z * np.eye(self.N) - m
 
     def test_slow_contraction_takes_the_svd_early(self, solve_pairs):
-        # outside the Jordan curve s_min and s_2 nearly tie ((s_1/s_2)^2 = 0.94
-        # per iterate), so the iteration would crawl through all its iterates
-        # before falling back
-        a = self.shifted(1.5)
+        # off the nearly normal tridiagonal's spectrum s_min and s_2 nearly tie
+        # ((s_1/s_2)^2 = 0.9992 per iterate), so the iteration would crawl through
+        # all its iterates before falling back; |z| < 2 leaves no dominance certificate
+        a = self.shifted(1.5j, "-1:1;1:1")
         s = smallest_singular(a)
-        assert solve_pairs() <= 8
+        assert 3 <= solve_pairs() <= 8
         assert s == float(np.linalg.svd(a, compute_uv=False)[-1])
 
     def test_fast_contraction_returns_the_iterate(self, solve_pairs):
@@ -288,6 +289,87 @@ class TestSminEarlyExit:
         s = smallest_singular(a)
         assert solve_pairs() == 3
         assert s == pytest.approx(float(np.linalg.svd(a, compute_uv=False)[-1]), rel=1e-9)
+
+
+class TestSminCertificate:
+    """Varah's bound s_min >= sqrt(a b) sends a well dominant matrix straight to the SVD."""
+
+    @staticmethod
+    def margins(m):
+        """(a, b): the smallest row and column margins 2 |m_ii| - sum_j |m_ij|."""
+        mag = np.abs(m)
+        d = 2 * np.diag(mag)
+        return float((d - mag.sum(axis=1)).min()), float((d - mag.sum(axis=0)).min())
+
+    @pytest.fixture
+    def factors(self, monkeypatch):
+        """The matrices that smallest_singular factors."""
+        calls = []
+        real = linalg._lu_factor
+        monkeypatch.setattr(linalg, "_lu_factor", lambda a: calls.append(a) or real(a))
+        return calls
+
+    @staticmethod
+    def dominant(rng, n, lo, hi):
+        # Gaussian off-diagonal entries; each diagonal entry has a random phase and
+        # exceeds both off-diagonal sums of its row and column by a margin in [lo, hi)
+        m = random_complex(rng, n)
+        np.fill_diagonal(m, 0.0)
+        mag = np.abs(m)
+        radius = np.maximum(mag.sum(axis=0), mag.sum(axis=1)) + rng.uniform(lo, hi, n)
+        np.fill_diagonal(m, radius * np.exp(2j * np.pi * rng.random(n)))
+        return m
+
+    @classmethod
+    def certified(cls, m):
+        a, b = cls.margins(m)
+        eps = np.finfo(float).eps
+        return a > 0 and b > 0 and m.shape[0] * eps * np.linalg.norm(m) <= linalg._SMIN_RTOL * math.sqrt(a * b)
+
+    @pytest.mark.parametrize("n", [25, 40, 80])
+    def test_varah_bound(self, n):
+        rng = np.random.default_rng(n)
+        for lo, hi in ((1e-3, 1e-2), (0.1, 1.0), (1.0, 10.0)):
+            m = self.dominant(rng, n, lo, hi)
+            a, b = self.margins(m)
+            assert a > 0 and b > 0
+            assert np.linalg.svd(m, compute_uv=False)[-1] >= math.sqrt(a * b)
+
+    def test_certified_matrix_is_not_factored(self, factors):
+        m = self.dominant(np.random.default_rng(5), 50, 1.0, 2.0)
+        assert self.certified(m)
+        s = smallest_singular(m)
+        assert factors == []
+        assert s == np.linalg.svd(m, compute_uv=False)[-1]
+
+    @pytest.mark.parametrize("case", ["jordan_inside", "thin_margin", "non_finite"])
+    def test_uncertified_matrix_factors_and_iterates(self, case, factors):
+        if case == "jordan_inside":
+            m = 0.5 * np.eye(50) - jordan(50)
+        else:
+            m = self.dominant(np.random.default_rng(6), 50, 1e-5, 2e-5)
+            assert min(self.margins(m)) > 0
+            if case == "non_finite":
+                m[3, 7] = math.inf
+        assert not self.certified(m)
+        s = smallest_singular(m)
+        assert len(factors) == 1
+        if case != "non_finite":
+            assert s == pytest.approx(float(np.linalg.svd(m, compute_uv=False)[-1]), rel=1e-9)
+
+    def test_benchmark_field_against_mpmath(self):
+        # certified nodes of the n = 50 perturbed Jordan field on the 15 x 15 grid
+        # over [-2, 2]^2: the iteration stopped at ~1e-10 relative error there,
+        # 40-digit singular values put the direct SVD within rounding
+        mpmath = pytest.importorskip("mpmath")
+        m = perturbed(parse_symbol("-1:1"), 50, PerturbationSpec("poly", gamma=2.0), NoiseSpec(), 1)
+        g = GridSpec(-2.0, 2.0, -2.0, 2.0, 15, 15)
+        for i, j in ((6, 3), (8, 3)):
+            a = complex(g.res()[i], g.ims()[j]) * np.eye(50) - m
+            assert self.certified(a)
+            with mpmath.workdps(40):
+                exact = float(min(mpmath.svd_c(mpmath.matrix(a.tolist()), compute_uv=False)))
+            assert abs(smallest_singular(a) - exact) <= 1e-14 * exact
 
 
 class TestRawLapackLu:
@@ -349,7 +431,7 @@ class TestRawLapackLu:
     def test_smallest_singular_equals_scipy_reference(self, n):
         # one matrix whose iterate converges and one that falls back to the SVD
         fast = random_complex(np.random.default_rng(n + 2), n)
-        slow = 1.5 * np.eye(n) - perturbed(parse_symbol("-1:1"), n, PerturbationSpec("poly", gamma=2.0), NoiseSpec(), 1)
+        slow = 1.5j * np.eye(n) - perturbed(TRIDIAG, n, PerturbationSpec("poly", gamma=2.0), NoiseSpec(), 1)
         for m in (fast, slow):
             assert smallest_singular(m) == self.reference_smin(m)
 
@@ -399,7 +481,7 @@ _OPENBLAS_THREADS = textwrap.dedent(
 
     # scipy.linalg loads with the first smallest_singular above n = 24: after the pin
     assert "scipy.linalg" not in sys.modules
-    toepspec.linalg.smallest_singular(numpy.eye(30))
+    toepspec.linalg.smallest_singular(numpy.diag(numpy.ones(29), 1))  # no dominance certificate: it factors
     assert "scipy.linalg" in sys.modules
 
     def threads(package, libdir, pattern, symbol):

@@ -8,12 +8,13 @@ The set is every scenario at a small size plus the first rotation of each
 benchmark workload at --seed 1.  Each config runs in-process through
 `toepspec.cli.main` with a relative out-dir under WORK_DIR, so the artifact
 paths inside the reports do not depend on WORK_DIR.  A few `spectrum` and
-`pseudospectrum` invocations (the README's two examples at small n, and three
-that print to stdout) run the same way.  The output maps each config or
-invocation to its exit code and the sha256 prefix of every file it wrote,
-plus, for an invocation, of its stdout; it exits 1 if any of them exited
-non-zero.  Run it on two checkouts (`--src` picks the package source) and
-diff the two outputs to see which reports a change touched.
+`pseudospectrum` invocations (the README's two examples at small n, three
+that print to stdout and one field above n = 24) run the same way.  The
+output maps each config or invocation to its exit code and the sha256 prefix
+of every file it wrote, plus, for an invocation, of its stdout; it exits 1
+if any of them exited non-zero.  Run it on two checkouts (`--src` picks the
+package source) and diff the two outputs to see which reports a change
+touched.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ CLI = {
     "cli_pseudospectrum_stdout": [
         "pseudospectrum", "--symbol", "-1:1", "--n", "8", "--matrix", "circulant", "--nx", "9", "--ny", "9",
         "--levels", "0.3,0.1",
+    ],
+    # n > 24: one smallest_singular per node, certified nodes going straight to the SVD and the others iterating
+    "cli_pseudospectrum_per_node": [
+        "pseudospectrum", "--symbol", "-1:1", "--n", "30", "--matrix", "perturbed", "--pert", "poly:2",
+        "--seed", "7", "--nx", "9", "--ny", "7", "--out", "{out}/field.csv", "--plot", "{out}/contours.svg",
     ],
 }
 
