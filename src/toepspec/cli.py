@@ -119,16 +119,17 @@ def _cmd_pseudospectrum(args) -> int:
     )
     noise = NoiseSpec(args.noise or "complex_gaussian")
     m = matrixgen.build_matrix(args.matrix, sym, args.n, pert, noise, args.seed or 0)
-    field = pseudospec.smin_field(m, pseudospec.GridSpec(**params["grid"]))
+    grid = pseudospec.GridSpec(**params["grid"])
+    field = pseudospec.smin_field(m, grid)
     levels = sorted(params["levels"])
     if args.out:
-        pseudospec.write_field_csv(field, args.out)
+        pseudospec.write_field_csv(grid, field, args.out)
         print(f"wrote {args.out}")
     if args.plot:
-        pseudospec.write_contour_svg(field, levels, args.plot, "pseudospectral level lines")
+        pseudospec.write_contour_svg(grid, field, levels, args.plot, "pseudospectral level lines")
         print(f"wrote {args.plot}")
     if not args.out and not args.plot:
-        print(f"s_min range: [{float(field.values.min())!r}, {float(field.values.max())!r}]")
+        print(f"s_min range: [{float(field.min())!r}, {float(field.max())!r}]")
     return 0
 
 

@@ -175,33 +175,31 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    scenario: str
     config: dict
     metrics: dict
     passed: dict
     artifacts: list
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
+    def to_json(self) -> str:
+        doc = {
+            "scenario": self.config["scenario"],
             "config": self.config,
             "metrics": self.metrics,
             "pass": self.passed,
             "artifacts": list(self.artifacts),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """A registered scenario; run() writes trial 0's spectrum artifacts when the runner solved the ensemble."""
+
     description: str
     criteria: dict  # criterion -> its pass rule, see _verdict
     defaults: dict
     runner: object
     pert_kind: str | None  # the one perturbation kind the scenario accepts, if any
-    eig_artifacts: bool  # write trial 0's eigenvalue CSV, sidecar and scatter plot
 
 
 def _solve_scale(sym: LaurentSymbol, pert: PerturbationSpec) -> float | None:
@@ -232,10 +230,6 @@ def trial_eigenvalues(
     return linalg.eigenvalues(matrixgen.perturbed(sym, n, pert, noise, seed, scale=_solve_scale(sym, pert)))
 
 
-def _solve(ens: "TrialEnsemble", t: int) -> np.ndarray:
-    return linalg.eigenvalues(ens.matrix(t))
-
-
 class TrialEnsemble:
     """The trials of one config, each a pure function of (config, t): nothing per trial is kept.
 
@@ -259,7 +253,7 @@ class TrialEnsemble:
 
     @cached_property
     def eigenvalues(self) -> list[np.ndarray]:
-        return self.map(_solve)
+        return self.map(lambda ens, t: linalg.eigenvalues(ens.matrix(t)))
 
     def eigenvector(self, m: np.ndarray, lam: complex) -> np.ndarray:
         """Unit eigenvector, for the eigenvalue lam, of the unscaled matrix M behind the trial matrix m.
@@ -411,11 +405,11 @@ _REGISTRY: dict[str, Scenario] = {}
 _OPS = {"<=": operator.le, ">=": operator.ge}
 
 
-def _scenario(name, description, criteria, defaults, pert_kind=None, eig_artifacts=True):
+def _scenario(name, description, criteria, defaults, pert_kind=None):
     """Register the decorated runner as scenario `name`: criteria map to pass rules, defaults are the params schema."""
 
     def register(runner):
-        _REGISTRY[name] = Scenario(description, dict(criteria), dict(defaults), runner, pert_kind, eig_artifacts)
+        _REGISTRY[name] = Scenario(description, dict(criteria), dict(defaults), runner, pert_kind)
         return runner
 
     return register
@@ -674,7 +668,6 @@ def _localization(metrics: dict, params: dict) -> bool:
         "supp_mu1": 0.5,
         "frac": 0.9,
     },
-    eig_artifacts=False,
 )
 def _run_eigvec_bulk(ens: TrialEnsemble, params: dict, out_dir):
     n = ens.cfg.n
@@ -735,7 +728,6 @@ def _outlier_observations(disk_radius, ens: TrialEnsemble, t: int) -> list:
     "eigenvectors of deep-interior eigenvalues are completely localized",
     {"outlier_linf": _outlier_linf},
     {"disk_radius": 0.8, "linf_min": 0.2, "stop_after_found": 1},
-    eig_artifacts=False,
 )
 def _run_eigvec_outlier(ens: TrialEnsemble, params: dict, out_dir):
     found = []
@@ -756,7 +748,6 @@ def _run_eigvec_outlier(ens: TrialEnsemble, params: dict, out_dir):
     "log-determinant of the noisy matrix vs truncated singular-value sum",
     {"equiv_gap": ("ok_frac", ">=", "pass_frac")},
     {"z": [3.0, 0.2], "alpha": None, "gap_tol": 0.05, "pass_frac": 0.95},
-    eig_artifacts=False,
 )
 def _run_grushin(ens: TrialEnsemble, params: dict, out_dir):
     cfg = ens.cfg
@@ -798,7 +789,6 @@ def _normal_oracle(metrics: dict, params: dict) -> bool:
         "oracle": False,
         "oracle_tol": 1e-8,
     },
-    eig_artifacts=False,
 )
 def _run_pseudospec_map(ens: TrialEnsemble, params: dict, out_dir):
     cfg = ens.cfg
@@ -808,21 +798,20 @@ def _run_pseudospec_map(ens: TrialEnsemble, params: dict, out_dir):
     field = pseudospec.smin_field(m, grid)
     levels = sorted(float(l) for l in params["levels"])
     metrics = {
-        "field_min": float(field.values.min()),
-        "field_max": float(field.values.max()),
+        "field_min": float(field.min()),
+        "field_max": float(field.max()),
         "levels": levels,
     }
     if kind == "circulant" and params["oracle"]:
         spectrum = curve_samples(ens.sym, cfg.n)
-        zs = (grid.res()[None, :] + 1j * grid.ims()[:, None]).ravel()
-        dist = np.min(np.abs(zs[:, None] - spectrum[None, :]), axis=1)
-        metrics["oracle_err_max"] = float(np.max(np.abs(field.values - dist)))
+        dist = np.min(np.abs(grid.nodes()[:, :, None] - spectrum), axis=2)
+        metrics["oracle_err_max"] = float(np.max(np.abs(field - dist)))
     artifacts = []
     if out_dir is not None:
         csv_path = out_dir / "field.csv"
         svg_path = out_dir / "contours.svg"
-        pseudospec.write_field_csv(field, csv_path)
-        pseudospec.write_contour_svg(field, levels, svg_path, "pseudospectrum")
+        pseudospec.write_field_csv(grid, field, csv_path)
+        pseudospec.write_contour_svg(grid, field, levels, svg_path, "pseudospectrum")
         artifacts.extend([str(csv_path), str(svg_path)])
     return metrics, artifacts
 
@@ -881,10 +870,9 @@ def run(config: ExperimentConfig, out_dir=None) -> ExperimentReport:
         except ValueError:
             raise NonFiniteError(f"metric {key} of {config.scenario} is not finite") from None
     passed = {name: _verdict(rule, metrics, params) for name, rule in sc.criteria.items()}
-    if sc.eig_artifacts and out_dir is not None:
+    if "eigenvalues" in vars(ens) and out_dir is not None:  # the runner solved the ensemble
         artifacts = _write_eigs_artifacts(ens, out_dir) + artifacts
     report = ExperimentReport(
-        scenario=config.scenario,
         config=config.to_dict(),
         metrics=metrics,
         passed=passed,

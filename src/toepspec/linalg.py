@@ -115,6 +115,12 @@ def _require_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _require_finite(a: np.ndarray, what: str = "the matrix") -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{what} has an inf or NaN entry")
+    return a
+
+
 @dataclass(frozen=True)
 class LogDet:
     """det = exp(log_abs) * phase; log_abs = -inf and phase = 0 flag singularity."""
@@ -181,8 +187,9 @@ def smallest_singular(m: np.ndarray) -> float:
 
     s_min is read from the solves, as 1 / sqrt(||w||) for w = (A A*)^{-1} v,
     so it stays accurate far below eps ||A||.  Exactly singular matrices
-    return 0.  Stagnation falls back to the full SVD, so the result always
-    agrees with :func:`svd` up to the iteration tolerance.  So does slow
+    return 0, and a matrix with an inf or NaN entry raises NonFiniteError.
+    Stagnation falls back to the full SVD, so the result always agrees with
+    :func:`svd` up to the iteration tolerance.  So does slow
     contraction: from the third iterate on, once the observed step ratio
     d_k / d_{k-1} (d_k = |s_k - s_{k-1}|) cannot bring the step under the
     tolerance by the last iterate, the SVD is taken at once.  The SVD comes
@@ -192,10 +199,9 @@ def smallest_singular(m: np.ndarray) -> float:
     """
     m = _require_square(m)
     n = m.shape[0]
-    if n == 1:
-        return float(abs(m[0, 0]))
     if n <= SMIN_DIRECT_MAX_N:
-        return float(np.linalg.svd(m, compute_uv=False)[-1])
+        _require_finite(m)
+        return float(abs(m[0, 0])) if n == 1 else float(np.linalg.svd(m, compute_uv=False)[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         # Varah's bound s_min >= sqrt(a b), a = min_i (|m_ii| - sum_{j != i} |m_ij|) and b its
         # column twin; an overflowing sum makes a margin -inf, an overflowing norm fails the test
@@ -205,6 +211,8 @@ def smallest_singular(m: np.ndarray) -> float:
         if a > 0 and b > 0 and n * np.finfo(float).eps * np.linalg.norm(m) <= _SMIN_RTOL * math.sqrt(a) * math.sqrt(b):
             return float(svd(m).singular_values[0])
         lu, piv = _lu_factor(m)
+        # an inf or NaN entry fails the certificate and is carried into the factor
+        _require_finite(lu, "the matrix or its LU factor")
         if np.abs(np.diag(lu)).min() == 0.0:
             return 0.0
         v = _start_vector(_SMIN_KEY, n)

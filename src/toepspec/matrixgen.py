@@ -210,22 +210,24 @@ def perturbed(
     band coefficient a_k becomes a_k rho^-k, and noise entry (i, j) is
     multiplied by r^n rho^(j-i) evaluated as one power.  The product of a
     subnormal r^n and a rho^(j-i) beyond the float range is never formed, so
-    the scaled matrix stays finite for every coupling that does not underflow.
+    the noise stays finite for every coupling that does not underflow.  A
+    matrix with an entry that overflows raises NonFiniteError.
     """
-    if scale is None:
-        base = toeplitz(symbol, n)
-        if pert.kind == "none":
-            return base
-        delta = pert.coupling(n)
-        return base + delta * sample_noise(noise, n, seed)
-    if pert.kind != "exp":
+    if scale is not None and pert.kind != "exp":
         raise ConfigError(f"scale applies to exp perturbations only, not {pert.kind!r}")
-    pert.coupling(n)  # raises UnderflowError once r^n underflows, as unscaled
-    base = toeplitz(LaurentSymbol({k: c * scale**-k for k, c in symbol.coeffs.items()}), n)
-    # n log r keeps the full precision that a subnormal r^n has lost
-    idx = np.arange(n)
-    factors = np.exp(n * math.log(pert.r) + (idx[None, :] - idx[:, None]) * math.log(scale))
-    return base + factors * sample_noise(noise, n, seed)
+    if pert.kind == "none":
+        return toeplitz(symbol, n)
+    weight = pert.coupling(n)  # raises UnderflowError once r^n underflows, scaled or not
+    if scale is not None:
+        symbol = LaurentSymbol({k: c * scale**-k for k, c in symbol.coeffs.items()})
+        # n log r keeps the full precision that a subnormal r^n has lost
+        idx = np.arange(n)
+        weight = np.exp(n * math.log(pert.r) + (idx[None, :] - idx[:, None]) * math.log(scale))
+    with np.errstate(over="ignore"):
+        m = toeplitz(symbol, n) + weight * sample_noise(noise, n, seed)
+    if not np.isfinite(m).all():
+        raise NonFiniteError(f"an entry of the perturbed {n} x {n} matrix overflows")
+    return m
 
 
 def build_matrix(

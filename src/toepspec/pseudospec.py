@@ -8,14 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from ._pool import map_chunks
 from .errors import ShapeError, SizeLimitError
-from .linalg import SMIN_DIRECT_MAX_N, _require_square, lapack_lu, smallest_singular
+from .linalg import SMIN_DIRECT_MAX_N, _require_finite, _require_square, lapack_lu, smallest_singular
 from .svgplot import write_contour
 
 MAX_GRID_NODES = 4_000_000
@@ -42,48 +41,37 @@ class GridSpec:
         if self.nx * self.ny > MAX_GRID_NODES:
             raise SizeLimitError(f"grid exceeds the {MAX_GRID_NODES}-node guard")
 
-    def res(self) -> np.ndarray:
-        return np.linspace(self.re_min, self.re_max, self.nx)
-
-    def ims(self) -> np.ndarray:
-        return np.linspace(self.im_min, self.im_max, self.ny)
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """Nonnegative node values in row-major order: values[j * nx + i]."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).ravel()
-        if len(vals) != self.grid.nx * self.grid.ny:
-            raise ShapeError("field length does not match the grid")
-        object.__setattr__(self, "values", vals)
-
-    def as_matrix(self) -> np.ndarray:
-        """Shape (ny, nx): entry [j, i] is the value at (re_i, im_j)."""
-        return self.values.reshape(self.grid.ny, self.grid.nx)
+    def nodes(self) -> np.ndarray:
+        """Shape (ny, nx): entry [j, i] is re_i + 1j * im_j, re_i and im_j evenly spaced from min to max."""
+        zs = np.empty((self.ny, self.nx), dtype=complex)
+        zs.real = np.linspace(self.re_min, self.re_max, self.nx)
+        zs.imag = np.linspace(self.im_min, self.im_max, self.ny)[:, None]
+        return zs
 
 
-def smin_field(m: np.ndarray, grid: GridSpec) -> ScalarField:
-    """s_min(z I - m) at every grid node.
+def _nodes_and_field(grid: GridSpec, field) -> tuple[np.ndarray, np.ndarray]:
+    field = np.asarray(field, dtype=float)
+    if field.shape != (grid.ny, grid.nx):
+        raise ShapeError(f"a field of shape {field.shape} does not fit the {grid.ny} x {grid.nx} grid")
+    return grid.nodes(), field
+
+
+def smin_field(m: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """s_min(z I - m) at every node z of grid.nodes(), as a float array of shape (ny, nx).
 
     For 2 <= n <= SMIN_DIRECT_MAX_N the nodes go to LAPACK as stacks of
     shifted matrices of at most _STACK_BYTES each, one batched SVD per
     stack; each value is bit-equal to :func:`smallest_singular` at that
     node.  Other sizes make one :func:`smallest_singular` call per node.  A
     large grid is split over this process and forked workers (~3 ms each),
-    one pinned to each other CPU (see :func:`_pool.map_chunks`).
+    one pinned to each other CPU (see :func:`_pool.map_chunks`).  A matrix
+    with an inf or NaN entry raises NonFiniteError before any node is solved.
     """
-    m = _require_square(m)
+    m = _require_finite(_require_square(m))
     if m.shape[0] > SMIN_DIRECT_MAX_N:
         lapack_lu()  # load LAPACK before any fork, or each worker imports scipy.linalg again
-    zs = np.empty((grid.ny, grid.nx), dtype=complex)
-    zs.real, zs.imag = grid.res()[None, :], grid.ims()[:, None]
-    zs = zs.ravel()
-    return ScalarField(grid=grid, values=map_chunks(partial(_smin_values, m), zs, m.shape[0]))
+    values = map_chunks(partial(_smin_values, m), grid.nodes().ravel(), m.shape[0])
+    return np.reshape(values, (grid.ny, grid.nx))
 
 
 def _smin_values(m: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -114,8 +102,8 @@ _CELL_EDGES = {
 }
 
 
-def contour_lines(field: ScalarField, levels) -> list[list[list[tuple[float, float]]]]:
-    """Level lines per level, as chained polylines with vertices on grid edges.
+def contour_lines(grid: GridSpec, field, levels) -> list[list[list[tuple[float, float]]]]:
+    """Level lines per level of the (ny, nx) field on grid, as chained polylines with vertices on grid edges.
 
     Returns one list of polylines per requested level; a level outside the
     field range yields an empty list.  Levels must be sorted ascending.
@@ -133,10 +121,9 @@ def contour_lines(field: ScalarField, levels) -> list[list[list[tuple[float, flo
         raise ShapeError("levels must be sorted strictly ascending")
     if any(l <= 0 for l in levels):
         raise ShapeError("levels must be positive")
-    v = field.as_matrix()
-    x, y = np.meshgrid(field.grid.res(), field.grid.ims())  # shaped like v
-    nx, ny = field.grid.nx, field.grid.ny
-    n_row_edges = ny * (nx - 1)  # edge ids: the edges along rows, then along columns
+    zs, v = _nodes_and_field(grid, field)
+    x, y, nx = zs.real, zs.imag, grid.nx
+    n_row_edges = grid.ny * (nx - 1)  # edge ids: the edges along rows, then along columns
     corner_sum = ((v[:-1, :-1] + v[:-1, 1:]) + v[1:, 1:]) + v[1:, :-1]
     out = []
     for level in levels:
@@ -189,20 +176,19 @@ def _chain_segments(segments) -> list[list[int]]:
     return chains
 
 
-def write_contour_svg(field: ScalarField, levels, path, title: str) -> None:
-    """The level lines of the field at the ascending levels, as an SVG figure.
+def write_contour_svg(grid: GridSpec, field, levels, path, title: str) -> None:
+    """The level lines of the (ny, nx) field on grid at the ascending levels, as an SVG figure.
 
     Levels that miss the field draw no line; with no line at all the figure
     is the empty grid box.
     """
-    lines = [(lv, poly) for lv, polys in zip(levels, contour_lines(field, levels)) for poly in polys]
-    g = field.grid
-    write_contour(path, lines, (g.re_min, g.re_max, g.im_min, g.im_max), title)
+    lines = [(lv, poly) for lv, polys in zip(levels, contour_lines(grid, field, levels)) for poly in polys]
+    write_contour(path, lines, (grid.re_min, grid.re_max, grid.im_min, grid.im_max), title)
 
 
-def write_field_csv(field: ScalarField, path) -> None:
-    """Rows `re,im,smin` in row-major node order."""
-    res = [repr(a) for a in field.grid.res().tolist()]
-    ims = [repr(b) for b in field.grid.ims().tolist()]
-    rows = [f"{a},{b},{v!r}" for (b, a), v in zip(product(ims, res), field.values.tolist())]
+def write_field_csv(grid: GridSpec, field, path) -> None:
+    """Rows `re,im,smin` of the (ny, nx) field on grid, in row-major node order."""
+    zs, values = _nodes_and_field(grid, field)
+    res, ims = [repr(a) for a in zs[0].real.tolist()], [repr(b) for b in zs[:, 0].imag.tolist()]
+    rows = [f"{a},{b},{v!r}" for b, row in zip(ims, values.tolist()) for a, v in zip(res, row)]
     Path(path).write_text("\n".join(["re,im,smin", *rows]) + "\n", encoding="utf-8")

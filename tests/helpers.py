@@ -12,7 +12,7 @@ import numpy as np
 
 from toepspec import experiments, matrixgen, measures
 from toepspec.errors import BoundaryError, ConfigError, DomainError, OnCurveError, ShapeError
-from toepspec.pseudospec import GridSpec, ScalarField
+from toepspec.pseudospec import GridSpec
 from toepspec.symbol import (
     ON_CIRCLE_TOL,
     LaurentSymbol,
@@ -172,8 +172,8 @@ def read_sample_csv(path) -> tuple[np.ndarray, dict]:
     return np.asarray(pts, dtype=complex), meta
 
 
-def read_field_csv(path) -> ScalarField:
-    """Inverse of :func:`toepspec.pseudospec.write_field_csv` (grid inferred from the node columns)."""
+def read_field_csv(path) -> tuple[GridSpec, np.ndarray]:
+    """Inverse of :func:`toepspec.pseudospec.write_field_csv`: the grid, inferred from the node columns, and the field."""
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not lines or lines[0] != "re,im,smin":
         raise ShapeError(f"{path} is not a field CSV")
@@ -183,7 +183,19 @@ def read_field_csv(path) -> ScalarField:
         re_min=float(res[0]), re_max=float(res[-1]), im_min=float(ims[0]), im_max=float(ims[-1]),
         nx=len(res), ny=len(ims),
     )
-    return ScalarField(grid=grid, values=smin)
+    return grid, smin.reshape(grid.ny, grid.nx)
+
+
+def pure_state_bound(lam: complex, delta: float, n: int) -> float:
+    """The law of complete localization: pure_state_dist <= C delta sqrt(n) / (1 - |lam|), C = 2.
+
+    An eigenpair of J + delta G with |lam| < 1 solves (J - lam) v = -delta G v.
+    J - lam has one singular value of order |lam|^n, whose singular vector is
+    the pure state up to O(|lam|^n), and all others at least about 1 - |lam|.
+    So the part of v orthogonal to the pure state is at most about
+    delta ||G|| / (1 - |lam|), and ||G|| ~ 2 sqrt(n) for unit-variance entries.
+    """
+    return 2.0 * delta * math.sqrt(n) / (1.0 - abs(lam))
 
 
 def pitch(grid: GridSpec) -> float:

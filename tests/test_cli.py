@@ -235,6 +235,12 @@ def _params(scenario, **params):
         ({**_params("eigvec_bulk", c_band=1e308), "symbol": "-1:1e308", "n": 7}, 2, "norm overflows"),
         ({"scenario": "lsd_subexp", "pert": {"kind": "poly", "gamma": -700}}, 2, "coupling for kind='poly' overflows"),
         ({"scenario": "grushin", "pert": {"kind": "poly", "gamma": -700}}, 2, "coupling for kind='poly' overflows"),
+        (
+            {**_params("pseudospec_map", grid=_GRID), "symbol": "0:1.79e308;-1:1", "n": 30,
+             "pert": {"kind": "macro", "sigma": 1e308}},
+            2,
+            "perturbed 30 x 30 matrix overflows",
+        ),
         ({"scenario": "lsd_subexp", "n": 1e20, "pert": {"kind": "poly", "gamma": 2}}, 1, "array size limit"),
         ({"scenario": "pairing", "n": 1e20, "pert": {"kind": "poly", "gamma": 1}}, 1, "array size limit"),
         # a symbol index past numpy's array size limit: the root and distance kernels refuse it
@@ -281,6 +287,7 @@ def _params(scenario, **params):
         "overflowing_matrix_norm",
         "overflowing_poly_coupling",
         "overflowing_grushin_coupling",
+        "overflowing_perturbed_matrix",
         "n_beyond_array_limit",
         "pairing_n_beyond_array_limit",
         "no_outlier_symbol_index_beyond_array_limit",
@@ -352,16 +359,36 @@ def test_malformed_flag_ends_in_one_line(tmp_path, monkeypatch, capsys, argv, ne
     assert not (tmp_path / "x.svg").exists()
 
 
+_HUGE_DIAGONAL = ["--symbol=0:1.79e308;-1:1", "--n", "30", "--pert", "macro:1e308"]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [[*_SPECTRUM, "--n", "50", "--pert", "poly:-700"], [*_PSEUDO, "--n", "50", "--matrix", "perturbed", "--pert", "poly:-700"]],
-    ids=["spectrum", "pseudospectrum"],
+    "argv, message",
+    [
+        # 50 ** 700 overflows a float: a numerical failure, as an underflowing coupling is
+        ([*_SPECTRUM, "--n", "50", "--pert", "poly:-700"], "coupling for kind='poly' overflows at n=50"),
+        (
+            [*_PSEUDO, "--n", "50", "--matrix", "perturbed", "--pert", "poly:-700"],
+            "coupling for kind='poly' overflows at n=50",
+        ),
+        # a finite coupling whose noise overflows the diagonal: refused before any solve
+        (["spectrum", *_HUGE_DIAGONAL, "--out", "f.csv"], "an entry of the perturbed 30 x 30 matrix overflows"),
+        (
+            ["pseudospectrum", *_HUGE_DIAGONAL, "--matrix", "perturbed", "--nx", "3", "--ny", "3", "--out", "f.csv"],
+            "an entry of the perturbed 30 x 30 matrix overflows",
+        ),
+    ],
+    ids=["spectrum", "pseudospectrum", "spectrum_overflowing_matrix", "pseudospectrum_overflowing_matrix"],
 )
-def test_overflowing_coupling_flag_ends_in_one_line(capsys, argv):
-    # 50 ** 700 overflows a float: a numerical failure, as an underflowing coupling is
-    assert main(argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["numerical failure: coupling for kind='poly' overflows at n=50"]
+def test_overflowing_coupling_flag_ends_in_one_line(tmp_path, monkeypatch, capfd, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    # one line on stderr, also at the file-descriptor level, where LAPACK reports illegal arguments
+    assert capfd.readouterr().err.splitlines() == [f"numerical failure: {message}"]
+    assert [str(w.message) for w in caught] == []
+    assert not (tmp_path / "f.csv").exists()
 
 
 @pytest.mark.parametrize("flags", [["--pert", "poly:2"], ["--noise", "rademacher"], ["--seed", "0"]])

@@ -224,6 +224,15 @@ class TestSmallestSingular:
             slow = float(svd(m).singular_values[0])
             assert fast == pytest.approx(slow, rel=1e-6, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 8, 30])
+    @pytest.mark.parametrize("entry", [math.inf, math.nan, complex(1.0, math.inf)])
+    def test_non_finite_entry_raises(self, n, entry):
+        # no 0.0, NaN or inf for a matrix that has none of them as its s_min
+        m = np.eye(n, dtype=complex)
+        m[n - 1, 0] = entry
+        with pytest.raises(NonFiniteError, match="inf or NaN"):
+            smallest_singular(m)
+
     def test_near_singular(self):
         m = np.diag([1.0, 1e-13]).astype(complex)
         assert smallest_singular(m) == pytest.approx(1e-13, rel=1e-6, abs=0)
@@ -352,10 +361,15 @@ class TestSminCertificate:
             if case == "non_finite":
                 m[3, 7] = math.inf
         assert not self.certified(m)
+        if case == "non_finite":
+            # the factor carries the inf: refused, where a solve would read it as singular
+            with pytest.raises(NonFiniteError, match="inf or NaN"):
+                smallest_singular(m)
+            assert len(factors) == 1
+            return
         s = smallest_singular(m)
         assert len(factors) == 1
-        if case != "non_finite":
-            assert s == pytest.approx(float(np.linalg.svd(m, compute_uv=False)[-1]), rel=1e-9)
+        assert s == pytest.approx(float(np.linalg.svd(m, compute_uv=False)[-1]), rel=1e-9)
 
     def test_benchmark_field_against_mpmath(self):
         # certified nodes of the n = 50 perturbed Jordan field on the 15 x 15 grid
@@ -365,7 +379,7 @@ class TestSminCertificate:
         m = perturbed(parse_symbol("-1:1"), 50, PerturbationSpec("poly", gamma=2.0), NoiseSpec(), 1)
         g = GridSpec(-2.0, 2.0, -2.0, 2.0, 15, 15)
         for i, j in ((6, 3), (8, 3)):
-            a = complex(g.res()[i], g.ims()[j]) * np.eye(50) - m
+            a = g.nodes()[j, i] * np.eye(50) - m
             assert self.certified(a)
             with mpmath.workdps(40):
                 exact = float(min(mpmath.svd_c(mpmath.matrix(a.tolist()), compute_uv=False)))

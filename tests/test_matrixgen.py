@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,20 @@ class TestPerturbed:
         expect = perturbed(TRIDIAG, n, pert, noise, seed=5) * rho ** (idx[None, :] - idx[:, None])
         got = perturbed(TRIDIAG, n, pert, noise, seed=5, scale=rho)
         np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize(
+        "symbol, pert, scale",
+        [
+            ("0:1.79e308;-1:1", PerturbationSpec("macro", sigma=1e308), None),  # the noise add overflows
+            ("1:1.7e308", PerturbationSpec("exp", r=0.5), 0.5),  # the scaled band a_1 / rho overflows
+        ],
+        ids=["unscaled", "scaled"],
+    )
+    def test_overflowing_entry_raises(self, symbol, pert, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused without a RuntimeWarning first
+            with pytest.raises(NonFiniteError, match="perturbed 30 x 30 matrix overflows"):
+                perturbed(parse_symbol(symbol), 30, pert, NoiseSpec(), seed=1, scale=scale)
 
     def test_scale_needs_exp_noise(self):
         with pytest.raises(ConfigError):
