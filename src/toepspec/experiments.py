@@ -206,9 +206,9 @@ def _solve_scale(sym: LaurentSymbol, pert: PerturbationSpec) -> float | None:
     """The rho of the basis D = diag(rho^i) that resolves r^n noise, or None."""
     if pert.kind == "exp":
         if sym.nplus_eff == 0:
-            return pert.r
+            return pert.value
         if sym.nminus_eff == 0:
-            return 1.0 / pert.r
+            return 1.0 / pert.value
     return None
 
 
@@ -482,7 +482,7 @@ def _logpot_probes(metrics: dict, params: dict) -> bool:
     pert_kind="exp",
 )
 def _run_lsd_exp(ens: TrialEnsemble, params: dict, out_dir):
-    sym, n, r = ens.sym, ens.cfg.n, ens.cfg.pert.r
+    sym, n, r = ens.sym, ens.cfg.n, ens.cfg.pert.value
     eig_trials = ens.eigenvalues
     metrics: dict = {"radius_devs": None}
     if params["check_radius"]:
@@ -606,7 +606,7 @@ def _run_pairing(ens: TrialEnsemble, params: dict, out_dir):
 def _run_radius_law(ens: TrialEnsemble, params: dict, out_dir):
     n = ens.cfg.n
     eig_trials = ens.eigenvalues
-    bound = (ens.cfg.pert.gamma - 1.0 - params["eps"]) * math.log(n) / n
+    bound = (ens.cfg.pert.value - 1.0 - params["eps"]) * math.log(n) / n
     min_gaps = [float(np.min(1.0 - np.abs(e))) for e in eig_trials]
     pooled = np.concatenate([1.0 - np.abs(e) for e in eig_trials])
     return {

@@ -17,8 +17,8 @@ from .errors import ConfigError, DomainError, NonFiniteError, SizeLimitError, Un
 from .symbol import LaurentSymbol
 
 NOISE_KINDS = ("complex_gaussian", "real_gaussian", "rademacher", "uniform_pm")
-# perturbation kind -> its one field, the open interval the field must lie
-# in, and the coupling delta_N as a function of (field value, N)
+# perturbation kind -> the config field naming its value, the open interval
+# the value must lie in, and the coupling delta_N as a function of (value, N)
 _PERT_RULES = {
     "none": (None, None, None, None),
     "poly": ("gamma", -math.inf, math.inf, lambda g, n: float(n) ** -g),
@@ -78,41 +78,34 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Coupling-strength schedule delta_N for the additive noise.
+    """Coupling-strength schedule delta_N for the additive noise: a kind and its one value.
 
-    kinds: ``none``; ``poly`` delta = n^-gamma; ``exp`` delta = r^n;
-    ``superexp`` delta = exp(-c n log n); ``macro`` delta = sigma n^{-1/2}.
-    A kind takes exactly its own field (none for ``none``).
+    kinds and values: ``none`` takes none; ``poly`` delta = n^-gamma, value
+    gamma; ``exp`` delta = r^n, value r in (0, 1); ``superexp`` delta =
+    exp(-c n log n), value c > 0; ``macro`` delta = sigma n^{-1/2}, value
+    sigma > 0.  A config names the value by its field, ``{"kind": "poly",
+    "gamma": 2}``, and the CLI writes ``poly:2``.
     """
 
     kind: str = "none"
-    gamma: float | None = None
-    r: float | None = None
-    c: float | None = None
-    sigma: float | None = None
+    value: float | None = None
 
     def __post_init__(self):
         if self.kind not in PERT_KINDS:
             raise ConfigError(f"unknown perturbation kind {self.kind!r}; choose from {PERT_KINDS}")
-        own, lo, hi, _ = _PERT_RULES[self.kind]
-        for name in ("gamma", "r", "c", "sigma"):
-            val = getattr(self, name)
-            if val is not None and name != own:
-                raise ConfigError(f"{self.kind} perturbation takes no field {name}")
-            if val is not None and not is_real(val):
-                raise ConfigError(f"perturbation field {name} must be a finite number, got {val!r}")
-        if own is not None:
-            val = getattr(self, own)
-            if val is None or not lo < val < hi:
-                raise ConfigError(f"{self.kind} perturbation needs {own} in ({lo:g}, {hi:g})")
+        name, lo, hi, _ = _PERT_RULES[self.kind]
+        if name is None and self.value is not None:
+            raise ConfigError(f"{self.kind} perturbation takes no value")
+        if name is not None and not (is_real(self.value) and lo < self.value < hi):
+            raise ConfigError(f"{self.kind} perturbation needs {name} in ({lo:g}, {hi:g}), got {self.value!r}")
 
     def coupling(self, n: int) -> float:
         check_size(n)
-        own, _, _, delta_n = _PERT_RULES[self.kind]
-        if own is None:
+        name, _, _, delta_n = _PERT_RULES[self.kind]
+        if name is None:
             return 0.0
         try:
-            delta = delta_n(getattr(self, own), n)
+            delta = delta_n(self.value, n)
         except OverflowError:  # float ** raises rather than return inf, e.g. poly with gamma < 0
             raise NonFiniteError(f"coupling for kind={self.kind!r} overflows at n={n}") from None
         if delta <= 0.0:
@@ -120,18 +113,20 @@ class PerturbationSpec:
         return delta
 
     def to_dict(self) -> dict:
-        own = _PERT_RULES[self.kind][0]
-        return {"kind": self.kind} if own is None else {"kind": self.kind, own: getattr(self, own)}
+        name = _PERT_RULES[self.kind][0]
+        return {"kind": self.kind} if name is None else {"kind": self.kind, name: self.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PerturbationSpec":
         if not isinstance(d, dict) or "kind" not in d:
             raise ConfigError("perturbation spec must be a mapping with a 'kind'")
-        known = {"kind", "gamma", "r", "c", "sigma"}
-        extra = set(d) - known
+        kind = d["kind"]
+        name = _PERT_RULES[kind][0] if kind in PERT_KINDS else None
+        spec = cls(kind, d.get(name))
+        extra = set(d) - {"kind", name}
         if extra:
-            raise ConfigError(f"unknown perturbation fields: {sorted(extra)}")
-        return cls(**d)
+            raise ConfigError(f"{kind} perturbation takes no field {sorted(extra)}")
+        return spec
 
     @classmethod
     def parse(cls, text: str) -> "PerturbationSpec":
@@ -144,23 +139,23 @@ class PerturbationSpec:
             x = float(val)
         except ValueError as exc:
             raise ConfigError(f"cannot parse perturbation {text!r}") from exc
-        if kind not in _PERT_RULES:
-            raise ConfigError(f"unknown perturbation kind {kind!r}")
-        own = _PERT_RULES[kind][0]
-        if own is None:
-            raise ConfigError(f"{kind} perturbation takes no value")
-        return cls(kind, **{own: x})
+        return cls(kind, x)
+
+
+def _band(coeffs: dict[int, complex], n: int) -> np.ndarray:
+    """The n x n matrix with entry (i, j) = coeffs[i - j], zero off the given diagonals."""
+    m = np.zeros((n, n), dtype=complex)
+    idx = np.arange(n)
+    diff = idx[:, None] - idx[None, :]
+    for k, c in coeffs.items():
+        m[diff == k] = c
+    return m
 
 
 def toeplitz(symbol: LaurentSymbol, n: int) -> np.ndarray:
     """The n x n Toeplitz matrix with entry (i, j) = a_{i-j}."""
     check_size(n)
-    m = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n)
-    diff = idx[:, None] - idx[None, :]
-    for k, c in symbol.coeffs.items():
-        m[diff == k] = c
-    return m
+    return _band(symbol.coeffs, n)
 
 
 def circulant(symbol: LaurentSymbol, n: int) -> np.ndarray:
@@ -172,12 +167,8 @@ def circulant(symbol: LaurentSymbol, n: int) -> np.ndarray:
     if n <= symbol.kmax - symbol.kmin:
         raise ConfigError(f"band [{symbol.kmin}, {symbol.kmax}] too wide for a {n} x {n} circulant")
     check_size(n)
-    m = np.zeros((n, n), dtype=complex)
-    idx = np.arange(n)
-    diff = (idx[:, None] - idx[None, :]) % n
-    for k, c in symbol.coeffs.items():
-        m[diff == (k % n)] = c
-    return m
+    # a_k fills the diagonals i - j = k mod n and k mod n - n that lie in the matrix
+    return _band({d: c for k, c in symbol.coeffs.items() for d in (k % n, k % n - n) if d > -n}, n)
 
 
 def sample_noise(spec: NoiseSpec, n: int, seed: int) -> np.ndarray:
@@ -218,13 +209,16 @@ def perturbed(
     if pert.kind == "none":
         return toeplitz(symbol, n)
     weight = pert.coupling(n)  # raises UnderflowError once r^n underflows, scaled or not
-    if scale is not None:
-        symbol = LaurentSymbol({k: c * scale**-k for k, c in symbol.coeffs.items()})
+    if scale is None:
+        band = toeplitz(symbol, n)
+    else:
+        # a far a_k rho^-k may underflow to zero, which leaves its diagonal empty
+        band = _band({k: c * scale**-k for k, c in symbol.coeffs.items()}, n)
         # n log r keeps the full precision that a subnormal r^n has lost
         idx = np.arange(n)
-        weight = np.exp(n * math.log(pert.r) + (idx[None, :] - idx[:, None]) * math.log(scale))
+        weight = np.exp(n * math.log(pert.value) + (idx[None, :] - idx[:, None]) * math.log(scale))
     with np.errstate(over="ignore"):
-        m = toeplitz(symbol, n) + weight * sample_noise(noise, n, seed)
+        m = band + weight * sample_noise(noise, n, seed)
     if not np.isfinite(m).all():
         raise NonFiniteError(f"an entry of the perturbed {n} x {n} matrix overflows")
     return m

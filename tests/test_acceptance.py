@@ -33,16 +33,27 @@ from toepspec import eigloc, grushin, linalg, measures
 from toepspec.detexp import det_k, widom_det
 from toepspec.experiments import ExperimentConfig, run
 from toepspec.linalg import eigenvalues, eigenvector, lu_logdet, svd
-from toepspec.matrixgen import NoiseSpec, PerturbationSpec, toeplitz
+from toepspec.matrixgen import toeplitz
 from toepspec.symbol import LaurentSymbol, curve_samples, parse_symbol
 
-JORDAN = "-1:1"
 TRIDIAG = "-1:1;1:1"
+# the scenario configs of the criteria that run one, keyed by criterion
+CONFIGS = json.loads(Path(__file__).with_name("acceptance_configs.json").read_text(encoding="utf-8"))
+
+
+def acceptance_config(criterion: str) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(CONFIGS[criterion])
 
 
 def check(num, description, ok):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {description}")
     assert ok, f"criterion {num}: {description}"
+
+
+def test_configs_roundtrip():
+    # each config reads back as written, integer values included
+    for criterion, d in CONFIGS.items():
+        assert json.dumps(acceptance_config(criterion).to_dict()) == json.dumps(d), criterion
 
 
 def test_c01_corner_perturbation_exact_law():
@@ -133,17 +144,7 @@ def test_c04_grushin_identities():
 
 
 def test_c05_deterministic_equivalence():
-    n = 400
-    cfg = ExperimentConfig(
-        scenario="grushin",
-        symbol=TRIDIAG,
-        n=n,
-        pert=PerturbationSpec("poly", gamma=3),
-        noise=NoiseSpec("complex_gaussian"),
-        trials=100,
-        seed=505,
-        params={"z": [3.0, 0.2], "gap_tol": 0.05, "pass_frac": 0.95},
-    )
+    cfg = acceptance_config("5")
     report = run(cfg)
     check(
         5,
@@ -153,16 +154,7 @@ def test_c05_deterministic_equivalence():
 
 
 def test_c06_subexponential_lsd():
-    cfg = ExperimentConfig(
-        scenario="lsd_subexp",
-        symbol=JORDAN,
-        n=500,
-        pert=PerturbationSpec("poly", gamma=2),
-        noise=NoiseSpec("complex_gaussian"),
-        trials=10,
-        seed=606,
-        params={"energy_tol": 0.05, "band_mult": 5.0, "band_frac_min": 0.9},
-    )
+    cfg = acceptance_config("6")
     report = run(cfg)
     ok = report.passed["energy_distance"] and report.passed["curve_band"]
     check(
@@ -177,16 +169,7 @@ def test_c06_subexponential_lsd():
 def test_c07a_exponential_lsd_monomial_radius():
     # resolved only through the scaled eigensolve: the coupling 0.5^200 is
     # ~45 orders below the unscaled solver's noise floor
-    cfg = ExperimentConfig(
-        scenario="lsd_exp",
-        symbol=JORDAN,
-        n=200,
-        pert=PerturbationSpec("exp", r=0.5),
-        noise=NoiseSpec("complex_gaussian"),
-        trials=10,
-        seed=707,
-        params={"check_radius": True, "probe_count": 4},
-    )
+    cfg = acceptance_config("7a")
     report = run(cfg)
     # the number of genuine interior eigenvalues does not grow with N: at most
     # 2 of the 200 per trial (the measured worst is 1)
@@ -201,16 +184,7 @@ def test_c07a_exponential_lsd_monomial_radius():
 
 
 def test_c07b_exponential_lsd_tridiagonal_probes():
-    cfg = ExperimentConfig(
-        scenario="lsd_exp",
-        symbol="-1:0.1;1:1",
-        n=44,
-        pert=PerturbationSpec("exp", r=0.5),
-        noise=NoiseSpec("complex_gaussian"),
-        trials=10,
-        seed=717,
-        params={"check_radius": False, "probe_count": 10, "logpot_tol": 0.1},
-    )
+    cfg = acceptance_config("7b")
     report = run(cfg)
     regions = report.metrics["logpot_regions"]
     check(
@@ -222,16 +196,7 @@ def test_c07b_exponential_lsd_tridiagonal_probes():
 
 
 def test_c08_superexponential_lsd():
-    cfg = ExperimentConfig(
-        scenario="lsd_superexp",
-        symbol="-1:0.5;1:1",
-        n=80,
-        pert=PerturbationSpec("superexp", c=1.0),
-        noise=NoiseSpec("complex_gaussian"),
-        trials=5,
-        seed=808,
-        params={"probe_count": 10, "logpot_tol": 0.1},
-    )
+    cfg = acceptance_config("8")
     report = run(cfg)
     check(
         8,
@@ -242,16 +207,7 @@ def test_c08_superexponential_lsd():
 
 
 def test_c09_no_outlier_zone():
-    cfg = ExperimentConfig(
-        scenario="no_outlier",
-        symbol=JORDAN,
-        n=500,
-        pert=PerturbationSpec("poly", gamma=2),
-        noise=NoiseSpec("complex_gaussian"),
-        trials=20,
-        seed=909,
-        params={"eps": 0.2},
-    )
+    cfg = acceptance_config("9")
     report = run(cfg)
     check(
         9,
@@ -262,16 +218,7 @@ def test_c09_no_outlier_zone():
 
 
 def test_c10_pairing():
-    cfg = ExperimentConfig(
-        scenario="pairing",
-        symbol=JORDAN,
-        n=400,
-        pert=PerturbationSpec("poly", gamma=1),
-        noise=NoiseSpec("rademacher"),
-        trials=10,
-        seed=1010,
-        params={"p": 1.0, "cost_tol": 0.1, "pass_frac": 0.9},
-    )
+    cfg = acceptance_config("10")
     report = run(cfg)
     check(
         10,
@@ -301,16 +248,7 @@ def test_c11_outlier_eigenvector_localization():
             if prof[ell - 1] > r ** (ell - 1) + 1e-9:
                 ok = False
     # random version: keep drawing until an eigenvalue lands deep inside
-    cfg = ExperimentConfig(
-        scenario="eigvec_outlier",
-        symbol=JORDAN,
-        n=100,
-        pert=PerturbationSpec("poly", gamma=2),
-        noise=NoiseSpec("complex_gaussian"),
-        trials=200,
-        seed=1111,
-        params={"disk_radius": 0.8, "linf_min": 0.2, "stop_after_found": 1},
-    )
+    cfg = acceptance_config("11")
     report = run(cfg)
     check(
         11,
@@ -321,29 +259,7 @@ def test_c11_outlier_eigenvector_localization():
 
 
 def test_c12_pseudospectrum_normal_oracle():
-    cfg = ExperimentConfig(
-        scenario="pseudospec_map",
-        symbol=JORDAN,
-        n=8,
-        pert=PerturbationSpec("none"),
-        noise=NoiseSpec("complex_gaussian"),
-        trials=1,
-        seed=1212,
-        params={
-            "matrix": "circulant",
-            "oracle": True,
-            "oracle_tol": 1e-8,
-            "grid": {
-                "re_min": -2.0,
-                "re_max": 2.0,
-                "im_min": -2.0,
-                "im_max": 2.0,
-                "nx": 101,
-                "ny": 101,
-            },
-            "levels": [0.1, 0.3],
-        },
-    )
+    cfg = acceptance_config("12")
     report = run(cfg)
     check(
         12,
@@ -365,16 +281,7 @@ def test_c13_singular_value_law():
 def test_c14_reproducibility(tmp_path):
     # two runs in this process and one in a fresh interpreter, all writing to
     # the same directory so that the artifact paths in the reports agree
-    cfg = ExperimentConfig(
-        scenario="lsd_exp",
-        symbol=JORDAN,
-        n=40,
-        pert=PerturbationSpec("exp", r=0.5),
-        noise=NoiseSpec("rademacher"),
-        trials=3,
-        seed=1414,
-        params={"check_radius": True, "probe_count": 4},
-    )
+    cfg = acceptance_config("14")
     out = tmp_path / "out"
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")

@@ -206,6 +206,14 @@ def _params(scenario, **params):
         (_params("lsd_subexp", quadrature_n=10), 1, "quadrature_n"),
         (_params("no_outlier", quadrature_n=10), 1, "quadrature_n"),
         ({"scenario": "macro", "pert": {"kind": "macro", "sigma": 1.0, "gamma": 2, "r": 5.0}}, 1, "takes no field"),
+        ({"pert": {"kind": "weird", "r": 0.5}}, 1, "unknown perturbation kind 'weird'"),
+        ({"pert": {"kind": ["exp"], "r": 0.5}}, 1, "unknown perturbation kind ['exp']"),
+        ({"pert": {"kind": "exp", "r": 0.5, "rho": 2}}, 1, "exp perturbation takes no field ['rho']"),
+        ({"pert": {"kind": "exp", "r": 0.5, "gamma": None}}, 1, "exp perturbation takes no field ['gamma']"),
+        ({"scenario": "outlier_count", "pert": {"kind": "none", "gamma": 2}}, 1, "none perturbation takes no field"),
+        ({"pert": {"kind": "exp", "r": True}}, 1, "exp perturbation needs r in (0, 1)"),
+        ({"pert": {"kind": "exp", "r": float("nan")}}, 1, "exp perturbation needs r in (0, 1)"),
+        ({"pert": {"kind": "exp"}}, 1, "exp perturbation needs r in (0, 1)"),
         (_params("pseudospec_map", grid=_GRID, levels=[-1.0, 0.1]), 1, "param levels"),
         (_params("pseudospec_map", grid=_GRID, levels=[0.1, 0.1]), 1, "param levels"),
         (_params("pseudospec_map", grid=_GRID, levels=[]), 1, "param levels"),
@@ -258,6 +266,14 @@ def _params(scenario, **params):
         "short_quadrature_lsd_subexp",
         "short_quadrature_no_outlier",
         "macro_pert_with_foreign_fields",
+        "unknown_pert_kind",
+        "list_pert_kind",
+        "foreign_pert_field",
+        "null_foreign_pert_field",
+        "none_pert_with_field",
+        "bool_pert_value",
+        "nan_pert_value",
+        "missing_pert_value",
         "negative_level",
         "duplicate_level",
         "no_level",

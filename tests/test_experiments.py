@@ -50,7 +50,7 @@ def make_config(scenario, **kw):
         scenario=scenario,
         symbol="-1:1",
         n=40,
-        pert=PerturbationSpec("poly", gamma=2),
+        pert=PerturbationSpec("poly", 2),
         noise=NoiseSpec("complex_gaussian"),
         trials=2,
         seed=7,
@@ -122,7 +122,7 @@ class TestReports:
         assert set(report.passed) == set(scenarios()["pairing"]["criteria"])
 
     def test_report_json_has_pass_key(self):
-        cfg = make_config("macro", pert=PerturbationSpec("macro", sigma=0.5), n=25)
+        cfg = make_config("macro", pert=PerturbationSpec("macro", 0.5), n=25)
         report = run(cfg)
         doc = json.loads(report.to_json())
         assert set(doc) == {"scenario", "config", "metrics", "pass", "artifacts"}
@@ -140,9 +140,9 @@ SOLVES_ENSEMBLE = {
     "lsd_subexp", "lsd_exp", "lsd_superexp", "macro", "no_outlier", "outlier_count", "pairing", "radius_law"
 }
 _OWN_PERT = {
-    "lsd_exp": PerturbationSpec("exp", r=0.5),
-    "lsd_superexp": PerturbationSpec("superexp", c=1.0),
-    "macro": PerturbationSpec("macro", sigma=0.5),
+    "lsd_exp": PerturbationSpec("exp", 0.5),
+    "lsd_superexp": PerturbationSpec("superexp", 1.0),
+    "macro": PerturbationSpec("macro", 0.5),
 }
 _SMALL_PARAMS = {
     "lsd_exp": {"probe_count": 2},
@@ -154,7 +154,7 @@ _SMALL_PARAMS = {
 @pytest.mark.parametrize("name", sorted(EXPECTED_SCENARIOS))
 def test_eigenvalue_artifacts_exactly_when_the_ensemble_is_solved(tmp_path, name):
     cfg = make_config(
-        name, n=20, trials=1, pert=_OWN_PERT.get(name, PerturbationSpec("poly", gamma=2)),
+        name, n=20, trials=1, pert=_OWN_PERT.get(name, PerturbationSpec("poly", 2)),
         params=_SMALL_PARAMS.get(name, {}),
     )
     report = run(cfg, out_dir=tmp_path)
@@ -193,7 +193,7 @@ class TestScenarioSmoke:
         cfg = make_config(
             "lsd_exp",
             n=40,
-            pert=PerturbationSpec("exp", r=0.5),
+            pert=PerturbationSpec("exp", 0.5),
             params={"check_radius": True, "probe_count": 4},
         )
         report = run(cfg)
@@ -205,14 +205,14 @@ class TestScenarioSmoke:
             "lsd_superexp",
             symbol="-1:0.5;1:1",
             n=40,
-            pert=PerturbationSpec("superexp", c=1.0),
+            pert=PerturbationSpec("superexp", 1.0),
             params={"probe_count": 4},
         )
         report = run(cfg)
         assert report.passed["logpot_probes"]
 
     def test_macro(self):
-        cfg = make_config("macro", n=30, pert=PerturbationSpec("macro", sigma=0.5))
+        cfg = make_config("macro", n=30, pert=PerturbationSpec("macro", 0.5))
         assert run(cfg).passed["moments_finite"]
 
     def test_no_outlier(self):
@@ -225,7 +225,7 @@ class TestScenarioSmoke:
 
     def test_pairing(self):
         cfg = make_config(
-            "pairing", n=64, trials=2, pert=PerturbationSpec("poly", gamma=1)
+            "pairing", n=64, trials=2, pert=PerturbationSpec("poly", 1)
         )
         report = run(cfg)
         assert report.passed["match_cost"]
@@ -267,7 +267,7 @@ class TestScenarioSmoke:
             "grushin",
             symbol="-1:1;1:1",
             n=60,
-            pert=PerturbationSpec("poly", gamma=3),
+            pert=PerturbationSpec("poly", 3),
             trials=3,
         )
         report = run(cfg)
@@ -297,7 +297,7 @@ class TestScenarioSmoke:
         assert report.passed["normal_oracle"]
 
 
-EXP = PerturbationSpec("exp", r=0.5)
+EXP = PerturbationSpec("exp", 0.5)
 GRID_9 = {"re_min": -2.0, "re_max": 2.0, "im_min": -2.0, "im_max": 2.0, "nx": 9, "ny": 9}
 
 
@@ -328,13 +328,13 @@ VERDICT_TABLE = [
     ("exp_no_region", at_seed_3("lsd_exp", pert=EXP, params={"probe_count": 100000}),
      {"radius_band": True, "logpot_probes": False}),
     ("superexp_logpot_tol",
-     at_seed_3("lsd_superexp", symbol="-1:0.5;1:1", pert=PerturbationSpec("superexp", c=1.0),
+     at_seed_3("lsd_superexp", symbol="-1:0.5;1:1", pert=PerturbationSpec("superexp", 1.0),
                params={"logpot_tol": 0.0, "probe_count": 4}),
      {"logpot_probes": False}),
-    ("no_outlier_eps", at_seed_3("no_outlier", pert=PerturbationSpec("poly", gamma=0.5), params={"eps": 1e-9}),
+    ("no_outlier_eps", at_seed_3("no_outlier", pert=PerturbationSpec("poly", 0.5), params={"eps": 1e-9}),
      {"no_outliers": False}),
     ("cost_tol", at_seed_3("pairing", params={"cost_tol": 0.0}), {"match_cost": False}),
-    ("radius_law_gamma", at_seed_3("radius_law", pert=PerturbationSpec("poly", gamma=12), params={"eps": 1e-9}),
+    ("radius_law_gamma", at_seed_3("radius_law", pert=PerturbationSpec("poly", 12), params={"eps": 1e-9}),
      {"radius_bound": False}),
     ("loc_mult", at_seed_3("eigvec_bulk", n=60, trials=1, params={"loc_mult": 0.01}), {"localization": False}),
     ("no_qualifying_pair", at_seed_3("eigvec_bulk", n=60, trials=1, params={"c_band": 0.5}),
@@ -461,13 +461,13 @@ class TestTrialEigenvalues:
                 for j in range(n):
                     m[i, j] = mpmath.mpc(complex(t[i, j])) + delta * mpmath.mpc(complex(e[i, j]))
             ref = np.array([complex(x) for x in mpmath.eig(m, left=False, right=False)])
-        got = trial_eigenvalues(sym, n, PerturbationSpec("exp", r=r), noise, seed)
+        got = trial_eigenvalues(sym, n, PerturbationSpec("exp", r), noise, seed)
         assert match_cost(got, ref) <= 1e-12
         assert match_cost(np.linalg.eigvals(t + r**n * e), ref) > 1e-12
 
     def test_two_sided_band_keeps_unscaled_solve(self):
         sym = parse_symbol("-1:0.1;1:1")
-        pert = PerturbationSpec("exp", r=0.5)
+        pert = PerturbationSpec("exp", 0.5)
         noise = NoiseSpec("complex_gaussian")
         plain = np.linalg.eigvals(toeplitz(sym, 30) + 0.5**30 * sample_noise(noise, 30, 3))
         np.testing.assert_array_equal(trial_eigenvalues(sym, 30, pert, noise, 3), plain)
@@ -492,7 +492,7 @@ class TestArtifactRegeneration:
                 n=30,
                 trials=2,
                 seed=99,
-                pert=PerturbationSpec("exp", r=0.5),
+                pert=PerturbationSpec("exp", 0.5),
                 params={"probe_count": 2},
             ),
         ],
@@ -518,7 +518,7 @@ class TestEigenvectorScenariosScaled:
     def test_mapped_back_vectors_match_unscaled_inverse_iteration(self, symbol):
         # at n = 30, r^n ~ 1e-9 is still resolved by the unscaled matrix, so its
         # inverse-iteration vectors are an independent reference for v = D w
-        cfg = make_config("eigvec_outlier", symbol=symbol, n=30, pert=PerturbationSpec("exp", r=0.5), trials=1)
+        cfg = make_config("eigvec_outlier", symbol=symbol, n=30, pert=PerturbationSpec("exp", 0.5), trials=1)
         ens = TrialEnsemble(cfg)
         assert ens.rho is not None
         m = ens.matrix(0)
@@ -530,7 +530,7 @@ class TestEigenvectorScenariosScaled:
         assert worst <= 1e-6
 
     def test_eigvec_outlier_observes_trial_eigenvalues(self):
-        pert = PerturbationSpec("exp", r=0.5)
+        pert = PerturbationSpec("exp", 0.5)
         cfg = make_config("eigvec_outlier", n=100, pert=pert, trials=1)
         report = run(cfg)
         observed = [complex(*o["lambda"]) for o in report.metrics["observations"]]

@@ -231,7 +231,7 @@ class TestGrushinRun:
             scenario="grushin",
             symbol="-1:1;1:1",
             n=40,
-            pert=PerturbationSpec("poly", gamma=3),
+            pert=PerturbationSpec("poly", 3),
             noise=NoiseSpec("complex_gaussian"),
             trials=3,
             seed=505,

@@ -133,23 +133,23 @@ class TestRealEigenvalues:
         assert not eigs.imag.any()
 
     def test_spectrum_exactly_closed_under_conjugation(self):
-        eigs = eigenvalues(_real_ensemble("-1:1", 60, "rademacher", PerturbationSpec("poly", gamma=1)))
+        eigs = eigenvalues(_real_ensemble("-1:1", 60, "rademacher", PerturbationSpec("poly", 1)))
         assert eigs.imag.any()
         np.testing.assert_array_equal(np.sort_complex(eigs), np.sort_complex(eigs.conj()))
 
     def test_real_and_complex_solves_agree(self):
         n = 200
-        m = _real_ensemble("-1:1", n, "rademacher", PerturbationSpec("poly", gamma=1))
+        m = _real_ensemble("-1:1", n, "rademacher", PerturbationSpec("poly", 1))
         bound = 1e3 * np.finfo(float).eps * n * np.linalg.norm(m, 2)
         assert _matched_max(eigenvalues(m), np.linalg.eigvals(m)) <= bound
 
     @pytest.mark.parametrize(
         "symbol, n, noise, pert",
         [
-            ("-1:1", 20, "rademacher", PerturbationSpec("poly", gamma=2)),
-            ("-1:1;1:0.5", 24, "real_gaussian", PerturbationSpec("poly", gamma=1)),
+            ("-1:1", 20, "rademacher", PerturbationSpec("poly", 2)),
+            ("-1:1;1:0.5", 24, "real_gaussian", PerturbationSpec("poly", 1)),
             # unscaled: r^24 ~ 6e-8 sits above the solver's floor
-            ("-1:1", 24, "uniform_pm", PerturbationSpec("exp", r=0.5)),
+            ("-1:1", 24, "uniform_pm", PerturbationSpec("exp", 0.5)),
         ],
         ids=["rademacher_jordan", "real_gaussian_tridiagonal", "uniform_pm_exp"],
     )
@@ -161,7 +161,7 @@ class TestRealEigenvalues:
         assert _matched_max(eigenvalues(m), ref) <= 1e-12
 
     def test_tiny_imaginary_part_keeps_the_complex_solve(self):
-        m = _real_ensemble("-1:1", 40, "rademacher", PerturbationSpec("poly", gamma=1))
+        m = _real_ensemble("-1:1", 40, "rademacher", PerturbationSpec("poly", 1))
         m[0, -1] += 1e-300j
         np.testing.assert_array_equal(eigenvalues(m), np.linalg.eigvals(m))
         # the two solvers differ in the last bits, so the check above sees the path
@@ -281,7 +281,7 @@ class TestSminEarlyExit:
         return lambda: len(calls) // 2
 
     def shifted(self, z, symbol="-1:1"):
-        m = perturbed(parse_symbol(symbol), self.N, PerturbationSpec("poly", gamma=2.0), NoiseSpec(), 1)
+        m = perturbed(parse_symbol(symbol), self.N, PerturbationSpec("poly", 2.0), NoiseSpec(), 1)
         return z * np.eye(self.N) - m
 
     def test_slow_contraction_takes_the_svd_early(self, solve_pairs):
@@ -376,7 +376,7 @@ class TestSminCertificate:
         # over [-2, 2]^2: the iteration stopped at ~1e-10 relative error there,
         # 40-digit singular values put the direct SVD within rounding
         mpmath = pytest.importorskip("mpmath")
-        m = perturbed(parse_symbol("-1:1"), 50, PerturbationSpec("poly", gamma=2.0), NoiseSpec(), 1)
+        m = perturbed(parse_symbol("-1:1"), 50, PerturbationSpec("poly", 2.0), NoiseSpec(), 1)
         g = GridSpec(-2.0, 2.0, -2.0, 2.0, 15, 15)
         for i, j in ((6, 3), (8, 3)):
             a = g.nodes()[j, i] * np.eye(50) - m
@@ -445,7 +445,7 @@ class TestRawLapackLu:
     def test_smallest_singular_equals_scipy_reference(self, n):
         # one matrix whose iterate converges and one that falls back to the SVD
         fast = random_complex(np.random.default_rng(n + 2), n)
-        slow = 1.5j * np.eye(n) - perturbed(TRIDIAG, n, PerturbationSpec("poly", gamma=2.0), NoiseSpec(), 1)
+        slow = 1.5j * np.eye(n) - perturbed(TRIDIAG, n, PerturbationSpec("poly", 2.0), NoiseSpec(), 1)
         for m in (fast, slow):
             assert smallest_singular(m) == self.reference_smin(m)
 

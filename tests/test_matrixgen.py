@@ -1,4 +1,5 @@
 
+import json
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from helpers import corner, jordan, random_symbol
 from toepspec.errors import ConfigError, DomainError, NonFiniteError, SizeLimitError, UnderflowError
 from toepspec.matrixgen import (
     MAX_N,
+    PERT_KINDS,
     NoiseSpec,
     PerturbationSpec,
     check_size,
@@ -63,6 +65,15 @@ class TestCirculant:
     def test_band_too_wide(self):
         with pytest.raises(ConfigError):
             circulant(TRIDIAG, 2)
+
+    @pytest.mark.parametrize("text, n", [("-3:1", 2), ("-1100:1", 20), ("21:2;22:-1", 20), ("-40:1;-41:3", 20), ("7:1;8:2", 3)])
+    def test_far_band_wraps_mod_n(self, text, n):
+        idx = np.arange(n)
+        diff = (idx[:, None] - idx[None, :]) % n
+        expect = np.zeros((n, n), dtype=complex)
+        for k, c in parse_symbol(text).coeffs.items():
+            expect[diff == k % n] = c
+        np.testing.assert_array_equal(circulant(parse_symbol(text), n), expect)
 
     def test_oracle_on_random_symbols(self):
         from toepspec.symbol import curve_samples
@@ -129,25 +140,25 @@ class TestNoise:
 
 class TestPerturbationSpec:
     def test_couplings(self):
-        assert PerturbationSpec("poly", gamma=2).coupling(10) == pytest.approx(0.01)
-        assert PerturbationSpec("exp", r=0.5).coupling(10) == pytest.approx(2.0**-10)
-        assert PerturbationSpec("superexp", c=1.0).coupling(10) == pytest.approx(10.0**-10)
-        assert PerturbationSpec("macro", sigma=2.0).coupling(4) == pytest.approx(1.0)
+        assert PerturbationSpec("poly", 2).coupling(10) == pytest.approx(0.01)
+        assert PerturbationSpec("exp", 0.5).coupling(10) == pytest.approx(2.0**-10)
+        assert PerturbationSpec("superexp", 1.0).coupling(10) == pytest.approx(10.0**-10)
+        assert PerturbationSpec("macro", 2.0).coupling(4) == pytest.approx(1.0)
         assert PerturbationSpec("none").coupling(10) == 0.0
 
     def test_underflow(self):
         with pytest.raises(UnderflowError):
-            PerturbationSpec("superexp", c=1.0).coupling(400)
+            PerturbationSpec("superexp", 1.0).coupling(400)
 
     def test_overflow(self):
         # 50 ** 700 lies beyond the float range; 50 ** 150 does not
         with pytest.raises(NonFiniteError, match="overflows at n=50"):
-            PerturbationSpec("poly", gamma=-700).coupling(50)
-        assert PerturbationSpec("poly", gamma=-150).coupling(50) == pytest.approx(50.0**150)
+            PerturbationSpec("poly", -700).coupling(50)
+        assert PerturbationSpec("poly", -150).coupling(50) == pytest.approx(50.0**150)
 
     def test_parse_grammar(self):
-        assert PerturbationSpec.parse("poly:2").gamma == 2
-        assert PerturbationSpec.parse("exp:0.5").r == 0.5
+        assert PerturbationSpec.parse("poly:2").value == 2
+        assert PerturbationSpec.parse("exp:0.5").value == 0.5
         assert PerturbationSpec.parse("none").kind == "none"
         with pytest.raises(ConfigError):
             PerturbationSpec.parse("poly")
@@ -158,23 +169,38 @@ class TestPerturbationSpec:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            PerturbationSpec("exp", r=1.5)
+            PerturbationSpec("exp", 1.5)
         with pytest.raises(ConfigError):
             PerturbationSpec("poly")
 
     def test_takes_only_its_own_field(self):
-        foreign = [("macro", {"sigma": 1.0, "r": 5.0}), ("none", {"gamma": 2}), ("exp", {"r": 0.5, "c": 1.0})]
+        foreign = [
+            ("macro", {"sigma": 1.0, "r": 5.0}),
+            ("none", {"gamma": 2}),
+            ("exp", {"r": 0.5, "c": 1.0}),
+            ("poly", {"gamma": 2, "r": None}),  # a foreign field is refused even when null
+            ("poly", {"gamma": 2, "foo": 1}),
+        ]
         for kind, fields in foreign:
             with pytest.raises(ConfigError, match=f"{kind} perturbation takes no field"):
-                PerturbationSpec(kind, **fields)
+                PerturbationSpec.from_dict({"kind": kind, **fields})
+        with pytest.raises(ConfigError, match="none perturbation takes no value"):
+            PerturbationSpec("none", 2.0)
         own = {"poly:2": {"gamma": 2.0}, "exp:0.5": {"r": 0.5}, "superexp:1": {"c": 1.0}, "macro:0.5": {"sigma": 0.5}}
         for text, want in [*own.items(), ("none", {})]:
             spec = PerturbationSpec.parse(text)
             assert spec.to_dict() == {"kind": spec.kind, **want}
 
     def test_dict_roundtrip(self):
-        spec = PerturbationSpec("exp", r=0.25)
-        assert PerturbationSpec.from_dict(spec.to_dict()) == spec
+        texts = {"poly": "poly:-1.5", "exp": "exp:0.25", "superexp": "superexp:2", "macro": "macro:0.5", "none": "none"}
+        assert set(texts) == set(PERT_KINDS)
+        for kind, text in texts.items():
+            spec = PerturbationSpec.parse(text)
+            assert spec.kind == kind
+            assert PerturbationSpec.from_dict(spec.to_dict()) == spec
+        # a config's integer value stays an integer, so a report echoes it as written
+        d = {"kind": "poly", "gamma": 2}
+        assert json.dumps(PerturbationSpec.from_dict(d).to_dict()) == json.dumps(d)
 
 
 class TestPerturbed:
@@ -183,27 +209,29 @@ class TestPerturbed:
         np.testing.assert_array_equal(m, toeplitz(TRIDIAG, 8))
 
     def test_poly_coupling_applied(self):
-        spec = PerturbationSpec("poly", gamma=2)
+        spec = PerturbationSpec("poly", 2)
         noise = NoiseSpec("complex_gaussian")
         m = perturbed(TRIDIAG, 10, spec, noise, seed=3)
         expect = toeplitz(TRIDIAG, 10) + 0.01 * sample_noise(noise, 10, 3)
         np.testing.assert_array_equal(m, expect)
 
     def test_scaled_is_similarity(self):
-        # D^-1 M D with D = diag(rho^i), checked entrywise against the unscaled matrix
-        n, rho = 12, 0.7
-        pert = PerturbationSpec("exp", r=0.5)
+        # D^-1 M D with D = diag(rho^i), checked entrywise against the unscaled matrix;
+        # in the second case a_k rho^-k underflows and the band lies outside the matrix
+        n = 12
+        pert = PerturbationSpec("exp", 0.5)
         noise = NoiseSpec("complex_gaussian")
         idx = np.arange(n)
-        expect = perturbed(TRIDIAG, n, pert, noise, seed=5) * rho ** (idx[None, :] - idx[:, None])
-        got = perturbed(TRIDIAG, n, pert, noise, seed=5, scale=rho)
-        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
+        for sym, rho in [(TRIDIAG, 0.7), (parse_symbol("-1100:1"), 0.5)]:
+            expect = perturbed(sym, n, pert, noise, seed=5) * rho ** (idx[None, :] - idx[:, None])
+            got = perturbed(sym, n, pert, noise, seed=5, scale=rho)
+            np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize(
         "symbol, pert, scale",
         [
-            ("0:1.79e308;-1:1", PerturbationSpec("macro", sigma=1e308), None),  # the noise add overflows
-            ("1:1.7e308", PerturbationSpec("exp", r=0.5), 0.5),  # the scaled band a_1 / rho overflows
+            ("0:1.79e308;-1:1", PerturbationSpec("macro", 1e308), None),  # the noise add overflows
+            ("1:1.7e308", PerturbationSpec("exp", 0.5), 0.5),  # the scaled band a_1 / rho overflows
         ],
         ids=["unscaled", "scaled"],
     )
@@ -215,7 +243,7 @@ class TestPerturbed:
 
     def test_scale_needs_exp_noise(self):
         with pytest.raises(ConfigError):
-            perturbed(TRIDIAG, 12, PerturbationSpec("poly", gamma=2), NoiseSpec(), seed=5, scale=0.7)
+            perturbed(TRIDIAG, 12, PerturbationSpec("poly", 2), NoiseSpec(), seed=5, scale=0.7)
 
 
 class TestTaskSeed:
@@ -249,4 +277,4 @@ class TestCheckSize:
         with pytest.raises(SizeLimitError):
             sample_noise(NoiseSpec("rademacher"), 10**20, 1)
         with pytest.raises(SizeLimitError):
-            PerturbationSpec("exp", r=0.5).coupling(10**20)
+            PerturbationSpec("exp", 0.5).coupling(10**20)

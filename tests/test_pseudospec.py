@@ -78,7 +78,7 @@ class TestSminField:
 
     @pytest.mark.parametrize("n", [8, 24])
     def test_stacked_field_equals_per_node_svd(self, n):
-        m = perturbed(JORDAN, n, PerturbationSpec("poly", gamma=2.0), NoiseSpec(), 5)
+        m = perturbed(JORDAN, n, PerturbationSpec("poly", 2.0), NoiseSpec(), 5)
         g = GridSpec(-2, 2, -2, 2, 101, 101)
         assert g.nx * g.ny * 16 * n * n >= 2 * pseudospec._STACK_BYTES  # at least two stacks
         assert np.array_equal(smin_field(m, g), self.per_node_svd(m, g))
@@ -92,7 +92,7 @@ class TestSminField:
 
     def test_above_direct_size_goes_per_node(self, monkeypatch):
         n = SMIN_DIRECT_MAX_N + 1
-        m = perturbed(JORDAN, n, PerturbationSpec("poly", gamma=2.0), NoiseSpec(), 5)
+        m = perturbed(JORDAN, n, PerturbationSpec("poly", 2.0), NoiseSpec(), 5)
         g = GridSpec(-1.5, 1.5, -1.5, 1.5, 5, 4)
         calls = []
         monkeypatch.setattr(pseudospec, "smallest_singular", lambda a: calls.append(a) or smallest_singular(a))
