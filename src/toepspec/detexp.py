@@ -17,7 +17,6 @@ import numpy as np
 
 from . import matrixgen
 from .errors import BadPointError, ShapeError, SizeLimitError
-from .linalg import LogDet
 from .symbol import LaurentSymbol, root_profile
 
 MAX_MINOR_SIZE = 14
@@ -92,8 +91,8 @@ def det_k(symbol: LaurentSymbol, z: complex, e: np.ndarray, delta: float, k: int
     return delta**k * _signed_minor_sum(t.T, e.T, k)
 
 
-def widom_det(symbol: LaurentSymbol, z: complex, n: int) -> LogDet:
-    """det(T_n(a - z)) as a sum of root powers over subsets, in log form.
+def widom_det(symbol: LaurentSymbol, z: complex, n: int) -> tuple[complex, float]:
+    """det(T_n(a - z)) as a sum of root powers over subsets, as slogdet's (sign, logabsdet) pair.
 
     Each subset I of size nplus_eff out of the roots of
     zeta^{nminus_eff}(a(zeta) - z) contributes
@@ -132,15 +131,13 @@ def widom_det(symbol: LaurentSymbol, z: complex, n: int) -> LogDet:
         term_logs.append(term)
     sign_flip = (n * s_eff) % 2
     if not term_logs:
-        return LogDet(-math.inf, 0j)
+        return 0j, -math.inf
     m = max(t.real for t in term_logs)
     s = sum(cmath.exp(t - m) for t in term_logs)
     if s == 0:
-        return LogDet(-math.inf, 0j)
+        return 0j, -math.inf
     phase = s / abs(s)
-    if sign_flip:
-        phase = -phase
-    return LogDet(m + math.log(abs(s)), phase)
+    return (-phase if sign_flip else phase), m + math.log(abs(s))
 
 
 def bidiagonal_minor(zeta: complex, x_set, y_set, n: int) -> complex:

@@ -755,7 +755,7 @@ def _run_grushin(ens: TrialEnsemble, params: dict, out_dir):
     alpha = params["alpha"] if params["alpha"] is not None else 1.0 / cfg.n
     delta = cfg.pert.coupling(cfg.n)
     a = matrixgen.toeplitz(ens.sym, cfg.n) - z * np.eye(cfg.n)
-    sv = linalg.svd(a).singular_values
+    sv = linalg.svd(a)
     # not ens.map: two n=400 gaps, ~15 ms each, slow each other pooled and gain nothing (README)
     gaps = [
         grushin.equivalence_gap(a, sv, matrixgen.sample_noise(cfg.noise, cfg.n, task_seed(cfg.seed, t)), delta, alpha)

@@ -86,14 +86,11 @@ def build(a: np.ndarray, alpha: float) -> GrushinFactorization:
     a = np.asarray(a, dtype=complex)
     if alpha <= 0:
         raise ShapeError("alpha must be positive")
-    res = svd(a, want_vectors=True)
-    t = res.singular_values
+    t, f_vec, e_vec = svd(a, want_vectors=True)
     scale = float(t[-1]) if len(t) else 0.0
     if np.any(np.abs(t - alpha) <= _CUT_RTOL * max(scale, 1.0)):
         raise AmbiguousCutError(f"singular value on the cut alpha = {alpha}")
     m = int(np.sum(t <= alpha))
-    e_vec = res.right_vectors
-    f_vec = res.left_vectors
     e_small, e_big = e_vec[:, :m], e_vec[:, m:]
     f_small, f_big = f_vec[:, :m], f_vec[:, m:]
     t_small, t_big = t[:m], t[m:]
@@ -157,14 +154,14 @@ def perturbed_blocks(g: GrushinFactorization, q: np.ndarray, delta: float) -> Pe
 
 
 def truncated_logdet(s: np.ndarray, alpha: float) -> float:
-    """(1/N) sum of log s_j over s_j > alpha (0 if none); s = svd(a).singular_values, taken once per matrix."""
+    """(1/N) sum of log s_j over s_j > alpha (0 if none); s = svd(a), taken once per matrix."""
     return float(np.sum(np.log(s[s > alpha]))) / len(s)
 
 
 def equivalence_gap(a: np.ndarray, s: np.ndarray, q: np.ndarray, delta: float, alpha: float) -> float:
     """| (1/N) log|det(A + delta Q)| - (1/N) sum_{s_j > alpha} log s_j |.
 
-    s holds the singular values of A, ``svd(a).singular_values``, taken once
+    s holds the singular values of A, ``svd(a)``, taken once
     per matrix.  Returns +inf when the perturbed matrix is numerically singular.
     """
     a = np.asarray(a, dtype=complex)
@@ -172,7 +169,7 @@ def equivalence_gap(a: np.ndarray, s: np.ndarray, q: np.ndarray, delta: float, a
     if a.shape != q.shape:
         raise ShapeError("matrix and perturbation must have equal shape")
     n = a.shape[0]
-    ld = lu_logdet(a + delta * q)
-    if not math.isfinite(ld.log_abs):
+    _, log_abs = lu_logdet(a + delta * q)
+    if not math.isfinite(log_abs):
         return math.inf
-    return abs(ld.log_abs / n - truncated_logdet(s, alpha))
+    return abs(float(log_abs) / n - truncated_logdet(s, alpha))

@@ -1,11 +1,11 @@
 """Dense complex linear-algebra kernels behind a small, stable surface.
 
-Determinants are always carried as (log magnitude, unit phase) pairs: the
-determinants met here span thousands of orders of magnitude, so they are
-never exponentiated internally.  Singular values follow the nondecreasing
-convention s_1 <= ... <= s_n.  The factorizations delegate to LAPACK
-through numpy, except in :func:`smallest_singular`, the one kernel that
-reuses an LU factor for many solves: it calls zgetrf/zgetrs directly,
+Determinants are carried as np.linalg.slogdet's (sign, logabsdet) pair:
+the determinants met here span thousands of orders of magnitude, so they
+are never exponentiated internally.  Singular values come back as plain
+arrays, nondecreasing s_1 <= ... <= s_n.  The factorizations delegate to
+LAPACK through numpy, except in :func:`smallest_singular`, the one kernel
+that reuses an LU factor for many solves: it calls zgetrf/zgetrs directly,
 without scipy's per-call wrapper, so scipy.linalg loads only with it.
 Eigenvalues of a matrix with no imaginary part come from the real solver
 dgeev, all others from zgeev.  Up to SMIN_DIRECT_MAX_N, and above it where
@@ -27,7 +27,6 @@ import ctypes
 import functools
 import glob
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,18 +120,9 @@ def _require_finite(a: np.ndarray, what: str = "the matrix") -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class LogDet:
-    """det = exp(log_abs) * phase; log_abs = -inf and phase = 0 flag singularity."""
-
-    log_abs: float
-    phase: complex
-
-
-def lu_logdet(m: np.ndarray) -> LogDet:
-    """Log-determinant by np.linalg.slogdet; silently (-inf, 0) if exactly singular, (0, 1) if empty."""
-    phase, log_abs = np.linalg.slogdet(_require_square(m))
-    return LogDet(float(log_abs), complex(phase))
+def lu_logdet(m: np.ndarray):
+    """np.linalg.slogdet's (sign, logabsdet) of a square matrix: (0, -inf) if exactly singular, (1, 0) if empty."""
+    return np.linalg.slogdet(_require_square(m))
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -152,34 +142,21 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class SVDResult:
-    """Singular triplets with values sorted nondecreasing.
+def svd(m: np.ndarray, want_vectors: bool = False):
+    """Singular values of a square matrix as a nondecreasing array.
 
-    When vectors are requested, right_vectors[:, i] = e_i and
-    left_vectors[:, i] = f_i satisfy A e_i = s_i f_i and A* f_i = s_i e_i.
+    With want_vectors, the tuple (s, f, e) whose columns e_i = e[:, i] and
+    f_i = f[:, i] satisfy A e_i = s_i f_i and A* f_i = s_i e_i.
     """
-
-    singular_values: np.ndarray
-    left_vectors: np.ndarray | None = None
-    right_vectors: np.ndarray | None = None
-
-
-def svd(m: np.ndarray, want_vectors: bool = False) -> SVDResult:
     m = _require_square(m)
     try:
         if not want_vectors:
-            s = np.linalg.svd(m, compute_uv=False)
-            return SVDResult(singular_values=s[::-1].copy())
+            return np.linalg.svd(m, compute_uv=False)[::-1].copy()
         u, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD iteration failed: {exc}") from exc
     order = slice(None, None, -1)
-    return SVDResult(
-        singular_values=s[order].copy(),
-        left_vectors=u[:, order].copy(),
-        right_vectors=vh.conj().T[:, order].copy(),
-    )
+    return s[order].copy(), u[:, order].copy(), vh.conj().T[:, order].copy()
 
 
 def smallest_singular(m: np.ndarray) -> float:
@@ -209,7 +186,7 @@ def smallest_singular(m: np.ndarray) -> float:
         d = np.diag(mag)
         a, b = float((d - (mag.sum(axis=1) - d)).min()), float((d - (mag.sum(axis=0) - d)).min())
         if a > 0 and b > 0 and n * np.finfo(float).eps * np.linalg.norm(m) <= _SMIN_RTOL * math.sqrt(a) * math.sqrt(b):
-            return float(svd(m).singular_values[0])
+            return float(np.linalg.svd(m, compute_uv=False)[-1])
         lu, piv = _lu_factor(m)
         # an inf or NaN entry fails the certificate and is carried into the factor
         _require_finite(lu, "the matrix or its LU factor")
@@ -226,7 +203,7 @@ def smallest_singular(m: np.ndarray) -> float:
                 return 0.0
             if nw == 0.0:
                 # the solves underflowed (a matrix of huge norm)
-                return float(svd(m).singular_values[0])
+                return float(svd(m)[0])
             s_est = 1.0 / math.sqrt(nw)
             d = abs(s_est - s_prev)
             tol = _SMIN_RTOL * max(s_est, 1e-300)
@@ -237,7 +214,7 @@ def smallest_singular(m: np.ndarray) -> float:
                 break
             s_prev, d_prev = s_est, d
             v = w / nw
-    return float(svd(m).singular_values[0])
+    return float(svd(m)[0])
 
 
 def eigenvector(m: np.ndarray, lam: complex) -> np.ndarray:

@@ -201,23 +201,25 @@ def perturbed(
     band coefficient a_k becomes a_k rho^-k, and noise entry (i, j) is
     multiplied by r^n rho^(j-i) evaluated as one power.  The product of a
     subnormal r^n and a rho^(j-i) beyond the float range is never formed, so
-    the noise stays finite for every coupling that does not underflow.  A
-    matrix with an entry that overflows raises NonFiniteError.
+    a weight overflows only where r^n rho^(j-i) itself does.  A matrix with
+    an entry that overflows raises NonFiniteError; a band outside the matrix
+    is never placed, whatever its scaled coefficient.
     """
     if scale is not None and pert.kind != "exp":
         raise ConfigError(f"scale applies to exp perturbations only, not {pert.kind!r}")
     if pert.kind == "none":
         return toeplitz(symbol, n)
     weight = pert.coupling(n)  # raises UnderflowError once r^n underflows, scaled or not
-    if scale is None:
-        band = toeplitz(symbol, n)
-    else:
-        # a far a_k rho^-k may underflow to zero, which leaves its diagonal empty
-        band = _band({k: c * scale**-k for k, c in symbol.coeffs.items()}, n)
-        # n log r keeps the full precision that a subnormal r^n has lost
-        idx = np.arange(n)
-        weight = np.exp(n * math.log(pert.value) + (idx[None, :] - idx[:, None]) * math.log(scale))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scale is None:
+            band = toeplitz(symbol, n)
+        else:
+            # a far a_k rho^-k may underflow to zero, which leaves its diagonal empty, or
+            # overflow to inf, which a band outside the matrix never places
+            band = _band({k: c * np.float64(scale) ** -k for k, c in symbol.coeffs.items()}, n)
+            # n log r keeps the full precision that a subnormal r^n has lost
+            idx = np.arange(n)
+            weight = np.exp(n * math.log(pert.value) + (idx[None, :] - idx[:, None]) * math.log(scale))
         m = band + weight * sample_noise(noise, n, seed)
     if not np.isfinite(m).all():
         raise NonFiniteError(f"an entry of the perturbed {n} x {n} matrix overflows")

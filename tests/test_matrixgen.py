@@ -232,14 +232,26 @@ class TestPerturbed:
         [
             ("0:1.79e308;-1:1", PerturbationSpec("macro", 1e308), None),  # the noise add overflows
             ("1:1.7e308", PerturbationSpec("exp", 0.5), 0.5),  # the scaled band a_1 / rho overflows
+            ("5:1", PerturbationSpec("exp", 0.5), 1e-100),  # rho^-5 itself overflows the float range
+            # the noise weight r^n rho^(j-i) overflows far below the diagonal
+            ("5:1", PerturbationSpec("exp", 0.5), 1e-30),
+            ("-1:1", PerturbationSpec("exp", 0.5), 1e-30),
         ],
-        ids=["unscaled", "scaled"],
+        ids=["unscaled", "scaled", "scaled_power", "scaled_weight_upper", "scaled_weight_lower"],
     )
     def test_overflowing_entry_raises(self, symbol, pert, scale):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused without a RuntimeWarning first
             with pytest.raises(NonFiniteError, match="perturbed 30 x 30 matrix overflows"):
                 perturbed(parse_symbol(symbol), 30, pert, NoiseSpec(), seed=1, scale=scale)
+
+    def test_overflowing_band_outside_matrix_is_not_placed(self):
+        # a_1100 rho^-1100 overflows and a_-1100 rho^1100 underflows; neither band fits
+        # in a 20 x 20 matrix, so both builds are the same scaled noise
+        pert, noise = PerturbationSpec("exp", 0.5), NoiseSpec()
+        upper = perturbed(parse_symbol("1100:1"), 20, pert, noise, seed=1, scale=0.5)
+        lower = perturbed(parse_symbol("-1100:1"), 20, pert, noise, seed=1, scale=0.5)
+        assert upper.tobytes() == lower.tobytes()
 
     def test_scale_needs_exp_noise(self):
         with pytest.raises(ConfigError):

@@ -4,10 +4,12 @@ Usage (from the repository root):
 
     python tools/report_hashes.py WORK_DIR [--src SRC_DIR] > hashes.json
 
-The set is every scenario at a small size plus the first rotation of each
-benchmark workload at --seed 1.  Each config runs in-process through
-`toepspec.cli.main` with a relative out-dir under WORK_DIR, so the artifact
-paths inside the reports do not depend on WORK_DIR.  A few `spectrum` and
+The set is every scenario at a small size, one symbol whose band reaches
+past 2 on both sides (`outlier_count_wide`, bands -4 to 4), and the first
+rotation of each benchmark workload at --seed 1.  Each config runs
+in-process through `toepspec.cli.main` with a relative out-dir under
+WORK_DIR, so the artifact paths inside the reports do not depend on
+WORK_DIR.  A few `spectrum` and
 `pseudospectrum` invocations (the README's two examples at small n, three
 that print to stdout and one field above n = 24) run the same way.  The
 output maps each config or invocation to its exit code and the sha256 prefix
@@ -123,6 +125,8 @@ def configs() -> dict:
         # two or more CPUs, and the tridiagonal block's spectrum is all real
         "pairing_real_pooled": _cfg("pairing", n=200, pert={"kind": "poly", "gamma": 1}, trials=3, noise="rademacher"),
         "outlier_count_real": _cfg("outlier_count", symbol="-1:1;1:1", pert={"kind": "none"}),
+        # a band wider than 2: degree-16 curve distances and 8 roots per winding number
+        "outlier_count_wide": _cfg("outlier_count", symbol="-4:1;-2:0.5;1:0.3;4:1"),
     }
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
