@@ -6,7 +6,8 @@ are never exponentiated internally.  Singular values come back as plain
 arrays, nondecreasing s_1 <= ... <= s_n.  The factorizations delegate to
 LAPACK through numpy, except in :func:`smallest_singular`, the one kernel
 that reuses an LU factor for many solves: it calls zgetrf/zgetrs directly,
-without scipy's per-call wrapper, so scipy.linalg loads only with it.
+loaded from scipy's compiled _flapack module alone, so no scipy subpackage
+loads for it.
 Eigenvalues of a matrix with no imaginary part come from the real solver
 dgeev, all others from zgeev.  Up to SMIN_DIRECT_MAX_N, and above it where
 diagonal dominance certifies it (Varah's bound), the smallest singular value
@@ -18,7 +19,7 @@ Importing this module runs both bundled OpenBLAS copies on one thread: at
 the sizes met here (n = 50-500) extra BLAS threads cost more than they
 give, and one thread makes every result independent of the core count and
 of OPENBLAS_NUM_THREADS.  Their idle pool threads stop, so _pool forks a
-single-threaded process; scipy.linalg, loaded later, calls that pinned copy.
+single-threaded process; _flapack, loaded later, calls that pinned copy.
 """
 
 from __future__ import annotations
@@ -62,14 +63,36 @@ _one_blas_thread()
 
 
 @functools.cache
-def lapack_lu():
-    """(zgetrf, zgetrs) for :func:`smallest_singular`, loaded on its first call: scipy.linalg takes most of a bare import's time.
+def scipy_extension(subpackage: str, name: str):
+    """scipy's compiled module scipy.<subpackage>.<name>, loaded from its file without the subpackage's __init__.
 
-    Called before a fork, it hands the loaded library to every worker, which would otherwise import it again.
+    Registered in sys.modules, so a later import of the subpackage exposes the same functions;
+    with no such file the module is imported.
     """
-    from scipy.linalg import get_lapack_funcs
+    import importlib.machinery
+    import importlib.util
+    import sys
 
-    return get_lapack_funcs(("getrf", "getrs"), dtype=np.complex128)
+    fullname = f"scipy.{subpackage}.{name}"
+    base = Path(scipy.__file__).parent / subpackage
+    path = next((p for p in (base / (name + s) for s in importlib.machinery.EXTENSION_SUFFIXES) if p.is_file()), None)
+    if path is None or fullname in sys.modules:
+        return importlib.import_module(fullname)
+    loader = importlib.machinery.ExtensionFileLoader(fullname, str(path))
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(fullname, loader))
+    sys.modules[fullname] = module
+    loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def lapack_lu():
+    """(zgetrf, zgetrs) for :func:`smallest_singular`, loaded on its first call from scipy's _flapack alone.
+
+    Called before a fork, it hands the loaded library to every worker, which would otherwise load it again.
+    """
+    flapack = scipy_extension("linalg", "_flapack")
+    return flapack.zgetrf, flapack.zgetrs
 
 
 def _lu_factor(a):
@@ -198,6 +221,10 @@ def smallest_singular(m: np.ndarray) -> float:
             u = _lu_solve(lu, piv, v, trans=0)
             w = _lu_solve(lu, piv, u, trans=2)
             nw = np.linalg.norm(w)
+            if not np.isfinite(nw) and np.isfinite(w).all():
+                # numpy's 2-norm squares the entries: scale a finite w whose norm overflows
+                big = np.abs(w).max()
+                nw = big * np.linalg.norm(w / big)
             if not np.isfinite(nw):
                 # the solve overflowed: numerically singular
                 return 0.0

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, EmptyDataError, NonFiniteError, ShapeError, SizeLimitError
+from .linalg import scipy_extension
 from .symbol import LaurentSymbol, _zeros, companion_roots, evaluate, root_profile
 # unused here, but bench/test_bench.py pins this binding until ROADMAP item 1 lands
 from .symbol import classify_region  # noqa: F401
@@ -101,8 +102,6 @@ def match_cost(points, targets, p: float = 2.0) -> float:
 
     Exact optimal assignment on the |.|^p cost matrix.
     """
-    from scipy.optimize import linear_sum_assignment  # imported here: most commands never assign
-
     pts = np.asarray(points, dtype=complex).ravel()
     tgt = np.asarray(targets, dtype=complex).ravel()
     if len(pts) != len(tgt):
@@ -117,7 +116,8 @@ def match_cost(points, targets, p: float = 2.0) -> float:
         cost = np.abs(pts[:, None] - tgt[None, :]) ** p
     if not np.all(np.isfinite(cost)):
         raise NonFiniteError(f"the |.|^{p} costs overflow")
-    rows, cols = linear_sum_assignment(cost)
+    # scipy.optimize's own solver, loaded from its compiled module alone: most commands never assign
+    rows, cols = scipy_extension("optimize", "_lsap").linear_sum_assignment(cost)
     with np.errstate(over="ignore"):  # finite costs can still sum past the float range
         return float(np.mean(cost[rows, cols]) ** (1.0 / p))
 

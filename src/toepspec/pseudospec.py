@@ -69,7 +69,7 @@ def smin_field(m: np.ndarray, grid: GridSpec) -> np.ndarray:
     """
     m = _require_finite(_require_square(m))
     if m.shape[0] > SMIN_DIRECT_MAX_N:
-        lapack_lu()  # load LAPACK before any fork, or each worker imports scipy.linalg again
+        lapack_lu()  # load _flapack before any fork, or each worker loads it again
     values = map_chunks(partial(_smin_values, m), grid.nodes().ravel(), m.shape[0])
     return np.reshape(values, (grid.ny, grid.nx))
 

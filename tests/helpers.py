@@ -157,6 +157,20 @@ def split_root_moduli_per_root(symbol: LaurentSymbol, z: complex) -> tuple[float
     return (mods[k - 1] if k >= 1 else math.inf), (mods[k] if k < len(mods) else 0.0)
 
 
+def smin_decay_rate(symbol: LaurentSymbol, z: complex) -> float:
+    """The limit of (1/n) log s_min(T_n(a) - z) at a z of nonzero winding number w.
+
+    With the roots of q_z sorted by nonincreasing modulus and k = nplus_eff,
+    it is -log|roots[k]| for w < 0 and log|roots[k-1]| for w > 0.
+    """
+    w = winding_number_quadrature(symbol, z)
+    if w == 0:
+        raise DomainError(f"z = {z} has winding number 0: s_min stays bounded below")
+    mods = np.abs(root_profile(symbol, z)[0])
+    k = symbol.nplus_eff
+    return -math.log(mods[k]) if w < 0 else math.log(mods[k - 1])
+
+
 def read_sample_csv(path) -> tuple[np.ndarray, dict]:
     """Inverse of :func:`toepspec.measures.write_sample_csv`: the points and the sidecar metadata."""
     path = Path(path)

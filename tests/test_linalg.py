@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg as sla
 
 import toepspec
-from helpers import corner, jordan, ks_distance
+from helpers import corner, jordan, ks_distance, smin_decay_rate
 from toepspec import linalg
 from toepspec.errors import NonFiniteError, ShapeError
 from toepspec.linalg import (
@@ -262,6 +262,19 @@ class TestSmallestSingular:
         exact = 1.0 / float(np.linalg.svd(inv, compute_uv=False)[0])
         assert abs(smallest_singular(a) - exact) <= 1e-12 * exact
 
+    @pytest.mark.parametrize(
+        "symbol, z, n", [("-1:1;-2:0.4", 0.2 + 0.2j, 100), ("-1:1;-2:0.4", 0.2 + 0.2j, 130), ("-1:1", 0.6 + 0.2j, 200)]
+    )
+    def test_decay_rate_past_the_norm_overflow(self, symbol, z, n):
+        # ||w|| ~ 1 / s_min^2 overflows numpy's 2-norm once s_min < ~1e-77 (from
+        # n = 140 and n = 390 here), a finite w and no singular matrix: the slope
+        # of log s_min between n and 2n still follows the root law
+        sym = parse_symbol(symbol)
+        s = [smallest_singular(toeplitz(sym, k) - z * np.eye(k)) for k in (n, 2 * n)]
+        assert 0.0 < s[1] < 1e-77
+        slope = (math.log(s[1]) - math.log(s[0])) / n
+        assert slope == pytest.approx(smin_decay_rate(sym, z), rel=1e-3)
+
 
 class TestSminEarlyExit:
     N = 50
@@ -505,10 +518,11 @@ _OPENBLAS_THREADS = textwrap.dedent(
     import toepspec.symbol
     import numpy, scipy
 
-    # scipy.linalg loads with the first smallest_singular above n = 24: after the pin
-    assert "scipy.linalg" not in sys.modules
+    # _flapack, which links scipy's copy, loads with the first smallest_singular
+    # above n = 24: after the pin, and without the scipy.linalg package
+    assert "scipy.linalg._flapack" not in sys.modules
     toepspec.linalg.smallest_singular(numpy.diag(numpy.ones(29), 1))  # no dominance certificate: it factors
-    assert "scipy.linalg" in sys.modules
+    assert "scipy.linalg._flapack" in sys.modules and "scipy.linalg" not in sys.modules
 
     def threads(package, libdir, pattern, symbol):
         base = Path(package.__file__).resolve().parent.parent / libdir
@@ -537,6 +551,44 @@ def test_bare_import_runs_openblas_on_one_thread():
     if None in counts:
         pytest.skip(f"a bundled OpenBLAS copy was not found: {counts}")
     assert counts == [1, 1]
+
+
+_ONE_COPY = textwrap.dedent(
+    """
+    import importlib.machinery, json, sys
+
+    from toepspec.linalg import lapack_lu, scipy_extension
+    from toepspec.measures import match_cost
+
+    if sys.argv[1] == "fallback":
+        importlib.machinery.EXTENSION_SUFFIXES = []  # no extension file is found
+    match_cost([0, 1], [1, 0])
+    zgetrf, zgetrs = lapack_lu()
+    lsap = scipy_extension("optimize", "_lsap").linear_sum_assignment
+    loaded = sorted(m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules)
+
+    import scipy.linalg, scipy.optimize
+
+    pair = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), dtype="complex128")
+    print(json.dumps([loaded, [
+        scipy.optimize.linear_sum_assignment is lsap,
+        scipy.linalg.lapack.zgetrf is zgetrf and scipy.linalg.lapack.zgetrs is zgetrs,
+        pair[0] is zgetrf and pair[1] is zgetrs,
+        all(sys.modules[f"scipy.{m}"] is scipy_extension(*m.split(".")) for m in ("linalg._flapack", "optimize._lsap")),
+    ]]))
+    """
+)
+
+
+@pytest.mark.parametrize("mode, packages", [("file", []), ("fallback", ["scipy.linalg", "scipy.optimize"])])
+def test_scipy_extension_is_the_packages_own_kernel(mode, packages):
+    # a fresh interpreter, so this process's own scipy imports cannot mask a second copy;
+    # loaded from its file or, with none found, through the package, each kernel is the
+    # package's, and the package finds the loaded module rather than loading its own
+    src = str(Path(toepspec.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-c", _ONE_COPY, mode]
+    out = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [packages, [True, True, True, True]]
 
 
 class TestEigenvector:
