@@ -22,26 +22,14 @@ def _check_unit(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def tail_norm_profile(v, direction: str = "forward") -> np.ndarray:
-    """Norms of nested tails of a unit vector.
+def tail_norm_profile(v) -> np.ndarray:
+    """Tail norms of a unit vector: entry l is ||v[l:]||, so entry 0 is the full norm.
 
-    forward: index l (1-based) maps to ||v[l..N]||, so entry 0 is the full norm.
-    reverse: index l maps to ||v[1..N-l]||, shrinking from the back.
-    Both profiles are nonincreasing in l.
+    The profile is nonincreasing in l; a vector whose mass sits at its back
+    reads through its mirror v[::-1].
     """
-    v = _check_unit(v)
-    n = len(v)
-    sq = np.abs(v) ** 2
-    if direction == "forward":
-        tails = np.sqrt(np.maximum(np.cumsum(sq[::-1])[::-1], 0.0))
-        return tails
-    if direction == "reverse":
-        prefixes = np.sqrt(np.maximum(np.cumsum(sq), 0.0))
-        out = np.empty(n)
-        out[: n - 1] = prefixes[: n - 1][::-1]
-        out[n - 1] = 0.0
-        return out
-    raise ShapeError(f"direction must be 'forward' or 'reverse', got {direction!r}")
+    sq = np.abs(_check_unit(v)) ** 2
+    return np.sqrt(np.maximum(np.cumsum(sq[::-1])[::-1], 0.0))
 
 
 def supp_size(v, mu1: float) -> int:

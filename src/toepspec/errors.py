@@ -30,7 +30,7 @@ class ShapeError(ToepspecError):
 
 
 class ConvergenceError(ToepspecError):
-    """An iterative kernel failed to converge within its iteration cap."""
+    """A kernel failed to converge or to meet its residual contract."""
 
 
 class AmbiguousCutError(ToepspecError):

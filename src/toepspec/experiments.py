@@ -11,10 +11,12 @@ Serial: ``eigvec_outlier``'s loop, which stops early, and the Grushin gaps.
 
 Eigenvector direction convention.  For an eigenvalue lambda with winding
 number d(lambda) of the symbol curve, the localized mass sits at the FRONT
-of the vector when d(lambda) < 0 (forward tail norms decay; the upper-banded
+of the vector when d(lambda) < 0 (its tail norms decay; the upper-banded
 monomial case with its geometric eigenvectors is the model) and at the BACK
-when d(lambda) > 0 (reverse tail norms decay).  The scenarios below apply
-this mapping when they pick which tail profile to measure.
+when d(lambda) > 0.  Since T_n(a(1/z)) = P T_n(a) P, with P the flip, and
+a(1/z) winds the other way, an eigenvector of winding d > 0 is the mirror of
+one of winding -d, so the scenarios below measure the tail norms of v[::-1]
+when d(lambda) > 0.
 """
 
 from __future__ import annotations
@@ -258,8 +260,11 @@ class TrialEnsemble:
     def eigenvector(self, m: np.ndarray, lam: complex) -> np.ndarray:
         """Unit eigenvector, for the eigenvalue lam, of the unscaled matrix M behind the trial matrix m.
 
-        An eigenvector w of m = D^-1 M D maps back as v = D w.  D is formed
-        as exp(i log rho - max) so that no entry overflows, then v is normalized.
+        w is one shifted solve with m (:func:`linalg.eigenvector`), which
+        raises :class:`ConvergenceError` when it misses the residual contract;
+        the scenarios leave such an eigenpair out.  An eigenvector w of
+        m = D^-1 M D maps back as v = D w.  D is formed as exp(i log rho - max)
+        so that no entry overflows, then v is normalized.
         """
         w = linalg.eigenvector(m, lam)
         if self.rho is None:
@@ -637,7 +642,7 @@ def _localization_rows(band_lo, band_hi, mu1, ens: TrialEnsemble, t: int) -> lis
             v = ens.eigenvector(m, lam)
         except ConvergenceError:
             continue
-        profile = eigloc.tail_norm_profile(v, "forward" if w < 0 else "reverse")
+        profile = eigloc.tail_norm_profile(v if w < 0 else v[::-1])
         below = np.nonzero(profile <= 0.5)[0]
         tail_halflen = int(below[0]) + 1 if len(below) else len(v)
         rows.append(

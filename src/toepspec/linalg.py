@@ -117,7 +117,6 @@ _EIGVEC_KEY = 0x5EEDBEEF
 SMIN_DIRECT_MAX_N = 24
 _SMIN_MAX_ITER = 50
 _SMIN_RTOL = 1e-10
-_EIGVEC_MAX_ITER = 50
 
 
 @functools.cache
@@ -245,11 +244,13 @@ def smallest_singular(m: np.ndarray) -> float:
 
 
 def eigenvector(m: np.ndarray, lam: complex) -> np.ndarray:
-    """Unit right eigenvector for a computed eigenvalue, by shifted inverse iteration.
+    """Unit right eigenvector for a computed eigenvalue: one shifted solve from a fixed start vector.
 
-    One np.linalg.solve per step: from a computed eigenvalue the first meets
-    the residual contract ||(m - lam I) v|| <= 1e-6 ||m||; stagnation above
-    it raises :class:`ConvergenceError` naming the best residual reached.
+    A computed eigenvalue leaves m - lam I within about n eps ||m|| of
+    singular, so one np.linalg.solve meets the residual contract
+    ||(m - lam I) v|| <= 1e-6 ||m|| unless the start vector is nearly
+    orthogonal to the eigenvector; a miss raises :class:`ConvergenceError`
+    naming the residual.  An exact eigenvalue is nudged off once.
     """
     m = _require_square(m)
     n = m.shape[0]
@@ -259,28 +260,21 @@ def eigenvector(m: np.ndarray, lam: complex) -> np.ndarray:
         scale = float(np.linalg.norm(m)) / math.sqrt(n)
     if not math.isfinite(scale):
         raise NonFiniteError("the matrix norm overflows")
-    shift = complex(lam)
-    shifted = m - shift * np.eye(n)
-    v = _start_vector(_EIGVEC_KEY, n)
+    lam = complex(lam)
     tol = 1e-6 * max(scale, 1e-300)
-    best_res = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_EIGVEC_MAX_ITER):
+        for shift in (lam, lam + 1e-13 * max(scale, 1.0)):
             try:
-                w = np.linalg.solve(shifted, v)
-            except np.linalg.LinAlgError:
-                if shift != lam:
-                    break
-                # nudge off the exact eigenvalue so the shifted matrix is nonsingular
-                shift += 1e-13 * max(scale, 1.0)
-                shifted = m - shift * np.eye(n)
-                continue
-            nw = np.linalg.norm(w)
-            if not np.isfinite(nw) or nw == 0.0:
+                w = np.linalg.solve(m - shift * np.eye(n), _start_vector(_EIGVEC_KEY, n))
                 break
-            v = w / nw
-            res = float(np.linalg.norm(m @ v - lam * v))
-            if res <= tol:
-                return v
-            best_res = min(best_res, res)
-    raise ConvergenceError(f"inverse iteration stagnated at residual {best_res:.3e} (tol {tol:.3e})")
+            except np.linalg.LinAlgError:
+                continue  # singular at an exact eigenvalue: nudge the shift off it
+        else:
+            raise ConvergenceError("the shifted matrix stays singular after a nudge")
+        nw = float(np.linalg.norm(w))
+        v = w / nw
+        # an overflowing or vanishing solve leaves no direction to measure
+        res = float(np.linalg.norm(m @ v - lam * v)) if 0.0 < nw < math.inf else math.inf
+    if res <= tol:
+        return v
+    raise ConvergenceError(f"one shifted solve left residual {res:.3e} (tol {tol:.3e})")

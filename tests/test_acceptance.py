@@ -243,7 +243,7 @@ def test_c11_outlier_eigenvector_localization():
             ok = False
         if float(np.max(np.abs(v))) < math.sqrt(0.5) / 2:
             ok = False
-        prof = eigloc.tail_norm_profile(v, "forward")
+        prof = eigloc.tail_norm_profile(v)
         for ell in range(1, n + 1):
             if prof[ell - 1] > r ** (ell - 1) + 1e-9:
                 ok = False

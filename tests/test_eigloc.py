@@ -16,32 +16,35 @@ from toepspec.errors import NormalizationError, ShapeError
 
 class TestTailNormProfile:
     def test_basis_vector_forward(self):
-        prof = tail_norm_profile(np.array([1, 0, 0, 0], dtype=complex), "forward")
+        prof = tail_norm_profile(np.array([1, 0, 0, 0], dtype=complex))
         np.testing.assert_allclose(prof, [1, 0, 0, 0], atol=1e-14)
 
     def test_uniform_forward(self):
         v = np.full(4, 0.5, dtype=complex)
-        prof = tail_norm_profile(v, "forward")
+        prof = tail_norm_profile(v)
         assert prof[2] == pytest.approx(math.sqrt(2 / 4))
 
     def test_nonincreasing(self):
         rng = np.random.default_rng(90)
         v = rng.standard_normal(30) + 1j * rng.standard_normal(30)
         v /= np.linalg.norm(v)
-        for direction in ("forward", "reverse"):
-            prof = tail_norm_profile(v, direction)
-            assert np.all(np.diff(prof) <= 1e-12)
+        assert np.all(np.diff(tail_norm_profile(v)) <= 1e-12)
 
-    def test_reverse_shrinks_from_back(self):
-        # back-localized mass disappears immediately from the reverse profile
+    def test_back_localized_mass_reads_through_the_mirror(self):
+        # the mirror of a back-localized vector is front-localized: its first
+        # tail holds all the mass, exactly as the front vector's does
         back = np.array([0, 0, 0, 1], dtype=complex)
-        np.testing.assert_allclose(tail_norm_profile(back, "reverse"), [0, 0, 0, 0], atol=1e-14)
-        front = np.array([1, 0, 0, 0], dtype=complex)
-        np.testing.assert_allclose(tail_norm_profile(front, "reverse"), [1, 1, 1, 0], atol=1e-14)
+        np.testing.assert_array_equal(tail_norm_profile(back), [1, 1, 1, 1])
+        np.testing.assert_array_equal(tail_norm_profile(back[::-1]), [1, 0, 0, 0])
+        v = np.array([0.1, 0.2, 0.4, 0.8], dtype=complex)
+        v /= np.linalg.norm(v)
+        np.testing.assert_allclose(
+            tail_norm_profile(v[::-1]), np.sqrt(np.cumsum(np.abs(v) ** 2))[::-1], rtol=1e-14
+        )
 
     def test_non_unit_rejected(self):
         with pytest.raises(NormalizationError):
-            tail_norm_profile(np.array([1.0, 1.0]), "forward")
+            tail_norm_profile(np.array([1.0, 1.0]))
 
 
 class TestSuppSize:
@@ -71,7 +74,7 @@ class TestPureState:
     def test_geometric_tail_bound(self):
         for z in (0.3, 0.6 + 0.2j, 0.85):
             v = pure_state(z, 60)
-            prof = tail_norm_profile(v, "forward")
+            prof = tail_norm_profile(v)
             for ell in range(1, 61):
                 assert prof[ell - 1] <= abs(z) ** (ell - 1) + 1e-12
 

@@ -14,7 +14,7 @@ from helpers import (
     read_sample_csv,
 )
 from toepspec import _pool, experiments
-from toepspec.errors import ConfigError
+from toepspec.errors import ConfigError, ConvergenceError
 from toepspec.experiments import (
     ExperimentConfig,
     TrialEnsemble,
@@ -539,6 +539,63 @@ class TestEigenvectorScenariosScaled:
         # resolved near radius r = 0.5; the unscaled solve returns a
         # rounding-noise ring at |lambda| ~ 0.63 here
         assert np.max(np.abs(observed)) <= 0.55
+
+
+def _localization_rows(out_dir) -> list[list[str]]:
+    return [line.split(",") for line in (out_dir / "localization.csv").read_text().split()[1:]]
+
+
+class TestEigenpairSkip:
+    """An eigenpair whose eigenvector misses the residual contract is left out; the run goes on."""
+
+    @staticmethod
+    def _fail_at(monkeypatch, lam):
+        original = experiments.linalg.eigenvector
+
+        def failing(m, mu):
+            if complex(mu) == lam:
+                raise ConvergenceError("missed the residual contract")
+            return original(m, mu)
+
+        monkeypatch.setattr(_pool, "_POOL_MIN_WORK", math.inf)  # every call in this process
+        monkeypatch.setattr(experiments.linalg, "eigenvector", failing)
+
+    def test_eigvec_bulk_drops_exactly_that_row(self, tmp_path, monkeypatch):
+        cfg = make_config("eigvec_bulk", n=80, trials=1)
+        whole = run(cfg, tmp_path / "whole").metrics["qualifying"]
+        rows = _localization_rows(tmp_path / "whole")
+        skipped = rows[len(rows) // 2]
+        self._fail_at(monkeypatch, complex(float(skipped[0]), float(skipped[1])))
+        assert run(cfg, tmp_path / "skip").metrics["qualifying"] == whole - 1
+        assert _localization_rows(tmp_path / "skip") == [r for r in rows if r is not skipped]
+
+    def test_eigvec_outlier_drops_exactly_that_observation(self, monkeypatch):
+        cfg = make_config("eigvec_outlier", n=40, trials=3, params={"stop_after_found": 1000})
+        found = run(cfg).metrics["observations"]
+        assert len(found) >= 2
+        skipped = found[len(found) // 2]
+        self._fail_at(monkeypatch, complex(*skipped["lambda"]))
+        metrics = run(cfg).metrics
+        assert metrics["trials_run"] == 3
+        assert metrics["observations"] == [o for o in found if o is not skipped]
+
+
+def test_a_winding_plus_one_eigenpair_reads_as_its_mirror(tmp_path, monkeypatch):
+    # T_n(a(1/z)) = P T_n(a) P with P the flip, so the flipped trial matrix of
+    # "-1:1" is a trial matrix of "1:1" whose eigenvectors are the mirrored ones
+    lower = make_config("eigvec_bulk", n=80, trials=1)
+    m = TrialEnsemble(lower).matrix(0)
+    run(lower, tmp_path / "lower")
+    monkeypatch.setattr(TrialEnsemble, "matrix", lambda self, t: m[::-1, ::-1].copy())
+    run(dataclasses.replace(lower, symbol="1:1"), tmp_path / "upper")
+    rows, mirrored = (_localization_rows(tmp_path / side) for side in ("lower", "upper"))
+    assert len(rows) == len(mirrored) > 0
+    for row, mirror in zip(rows, mirrored):
+        lam, lam_mirror = (complex(float(r[0]), float(r[1])) for r in (row, mirror))
+        assert abs(lam - lam_mirror) <= 1e-12  # the same eigenpair, up to rounding
+        assert (int(row[3]), int(mirror[3])) == (-1, 1)
+        assert float(row[4]) == pytest.approx(float(mirror[4]), rel=1e-10)  # linf
+        assert row[5:] == mirror[5:]  # supp50 and tail_halflen
 
 
 class TestSeedsOnDemand:

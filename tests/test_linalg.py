@@ -14,7 +14,7 @@ import scipy.linalg as sla
 import toepspec
 from helpers import corner, jordan, ks_distance, smin_decay_rate
 from toepspec import linalg
-from toepspec.errors import NonFiniteError, ShapeError
+from toepspec.errors import ConvergenceError, NonFiniteError, ShapeError
 from toepspec.linalg import (
     eigenvalues,
     eigenvector,
@@ -442,7 +442,7 @@ class TestRawLapackLu:
         lu, piv = sla.lu_factor(m - complex(lam) * np.eye(n), check_finite=False)
         v = linalg._start_vector(linalg._EIGVEC_KEY, n)
         tol = 1e-6 * float(np.linalg.norm(m)) / math.sqrt(n)
-        for _ in range(linalg._EIGVEC_MAX_ITER):
+        for _ in range(50):  # a general inverse iteration: the kernel must stop at its first step
             w = sla.lu_solve((lu, piv), v, trans=0, check_finite=False)
             v = w / np.linalg.norm(w)
             if float(np.linalg.norm(m @ v - lam * v)) <= tol:
@@ -591,11 +591,33 @@ def test_scipy_extension_is_the_packages_own_kernel(mode, packages):
     assert json.loads(out.stdout) == [packages, [True, True, True, True]]
 
 
+def _count_solves(monkeypatch) -> list:
+    """Record every np.linalg.solve call from here on; returns the record."""
+    calls, solve = [], np.linalg.solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
 class TestEigenvector:
-    def test_diagonal(self):
+    def test_diagonal(self, monkeypatch):
+        # an exact eigenvalue: the singular solve is nudged off once, then solved
+        solves = _count_solves(monkeypatch)
         v = eigenvector(np.diag([2.0, 5.0]), 2.0)
+        assert len(solves) == 2
         assert abs(v[0]) == pytest.approx(1.0)
         assert abs(v[1]) == pytest.approx(0.0, abs=1e-10)
+
+    def test_a_missed_contract_raises_after_one_solve(self, monkeypatch):
+        # 1.5 is no eigenvalue: the one solve leaves a residual far above 1e-6 ||m||
+        solves = _count_solves(monkeypatch)
+        with pytest.raises(ConvergenceError, match=r"one shifted solve left residual \d\.\d{3}e[+-]\d+ \(tol"):
+            eigenvector(np.diag([1.0, 2.0, 3.0]), 1.5)
+        assert len(solves) == 1
 
     def test_corner_perturbed_jordan_geometric(self):
         n = 8

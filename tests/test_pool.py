@@ -116,14 +116,14 @@ from toepspec.experiments import ExperimentConfig, run
 
 cfg = ExperimentConfig.from_dict(json.loads(sys.argv[1]))
 assert cfg.trials * cfg.n**3 >= _pool._POOL_MIN_WORK  # the trials are split over workers
-assert run(cfg).metrics["qualifying"] > 0  # the workers ran inverse iterations
-print("scipy.linalg" in sys.modules)
+assert run(cfg).metrics["qualifying"] > 0  # the workers solved for eigenvectors
+print("scipy.linalg._flapack" in sys.modules)
 """
 
 
 def test_pooled_eigvec_bulk_leaves_lapack_unloaded():
-    # inverse iteration solves through numpy; the parent computes a chunk of
-    # trials itself, so its modules show what each worker's chunk imports
+    # each eigenvector is one shifted solve through numpy, not LAPACK's own LU; the parent
+    # computes a chunk of trials itself, so its modules show what each worker's chunk imports
     src = str(Path(_pool.__file__).resolve().parent.parent)
     argv = [sys.executable, "-c", _POOLED_BULK, json.dumps(_cfg("eigvec_bulk", n=100, trials=20))]
     out = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)

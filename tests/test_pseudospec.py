@@ -188,6 +188,26 @@ class TestContours:
                 val = np.interp(x, res, v[on_row[0]]) if len(on_row) else np.interp(y, ims, v[:, res == x].ravel())
                 assert abs(val - level) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "field, level, expected",
+        [
+            # corners (0, 0) and (1, 1) above: at 0.4 the center (mean 0.5) is above too,
+            # and the lines cut off the corners below, joining the two above
+            ([[1, 0], [0, 1]], 0.4, [((0.6, 0), (1, 0.4)), ((0.4, 1), (0, 0.6))]),
+            # at 0.7 the center is below: the lines cut off the corners above
+            ([[1, 0], [0, 1]], 0.7, [((0, 0.3), (0.3, 0)), ((1, 0.7), (0.7, 1))]),
+            # the other diagonal above swaps the two cases
+            ([[0, 1], [1, 0]], 0.4, [((0, 0.4), (0.4, 0)), ((1, 0.6), (0.6, 1))]),
+            ([[0, 1], [1, 0]], 0.7, [((0.7, 0), (1, 0.3)), ((0.3, 1), (0, 0.7))]),
+        ],
+    )
+    def test_saddle_cell(self, field, level, expected):
+        g = GridSpec(0, 1, 0, 1, 2, 2)
+        polys = contour_lines(g, np.array(field, dtype=float), [level])[0]
+        assert len(polys) == len(expected)
+        for poly, segment in zip(polys, expected):
+            assert poly == [pytest.approx(p, abs=1e-15) for p in segment]
+
     def test_unsorted_levels_rejected(self):
         g = GridSpec(-1, 1, -1, 1, 11, 11)
         with pytest.raises(ShapeError):

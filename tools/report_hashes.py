@@ -99,7 +99,8 @@ def configs() -> dict:
         "pairing": _cfg("pairing", n=64, pert={"kind": "poly", "gamma": 1}),
         "radius_law": _cfg("radius_law", n=60),
         "eigvec_bulk": _cfg("eigvec_bulk", n=80, trials=1),
-        # the upper-banded shift: winding +1, so the rows measure the reverse tail profile
+        # the upper-banded shift: winding +1, so the rows measure the tail norms of the
+        # mirrored eigenvectors
         "eigvec_bulk_upper": _cfg("eigvec_bulk", symbol="1:1", n=80, trials=1),
         "eigvec_outlier": _cfg("eigvec_outlier", n=40, trials=3),
         "grushin": _cfg("grushin", symbol="-1:1;1:1", n=60, pert={"kind": "poly", "gamma": 3}, trials=3),
